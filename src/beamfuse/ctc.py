@@ -51,6 +51,9 @@ class PosteriorMatrix:
             raise ValueError("posterior matrix shape does not match labels")
         if probs.shape[0] < 1:
             raise ValueError("posterior matrix has no frames")
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"frame {np.argmin(finite)} has a non-finite entry")
         if (probs < 0.0).any():
             raise ValueError("negative posterior entry")
         sums = probs.sum(axis=1)
@@ -89,8 +92,22 @@ class CtcPrefixScorer:
 
     ``candidate_scores`` evaluates every extension of a batch of hypotheses
     in one vectorized pass; ``extended_states`` materializes the forward
-    vectors only for the extensions that survive pruning, the single
-    sequential O(frames) part of the update.
+    vectors only for the extensions that survive pruning.
+
+    Both forward vectors follow first-order recurrences that are linear in
+    probability space, ``y[t] = g[t] * (y[t-1] + d[t])`` with ``g`` a column
+    of posteriors, so each has a closed form: a running sum of ``log g``
+    and one ``logaddexp`` scan down the whole (frames x extensions) block
+    instead of a per-frame loop.
+
+    The closed form divides by the running product of gains, which breaks
+    after a zero posterior (``log p == -inf``).  So the frame axis is cut
+    after every frame with a zero anywhere in its row, and the scan of the
+    next block starts from the vectors carried out of that frame.  Cutting
+    on the whole row, not just the columns in use, keeps each extension's
+    vectors independent of which other extensions share the call, so a
+    batched beam step and a single extension agree bit for bit.  One-hot
+    rows are cut at every frame and cost one step per frame.
     """
 
     def __init__(self, matrix: PosteriorMatrix):
@@ -101,6 +118,9 @@ class CtcPrefixScorer:
         self._log_blank = self._logp[:, self._blank_column]
         self._columns = {label: i for i, label in enumerate(matrix.labels)}
         self._frames = matrix.n_frames
+        zero_rows = np.flatnonzero(np.isneginf(self._logp[:-1]).any(axis=1))
+        bounds = [0, *(zero_rows + 1).tolist(), self._frames]
+        self._segments = list(zip(bounds[:-1], bounds[1:]))
 
     def initial_state(self) -> CtcState:
         blank = np.cumsum(self._log_blank)
@@ -117,14 +137,14 @@ class CtcPrefixScorer:
 
     def _transition(self, states: Sequence[CtcState]) -> tuple[np.ndarray, np.ndarray]:
         """Previous-frame blank/total masses, shifted so row t feeds frame t."""
-        frames, n = self._frames, len(states)
-        prev_blank = np.empty((frames, n))
-        prev_nonblank = np.empty((frames, n))
-        for j, state in enumerate(states):
-            prev_blank[0, j] = 0.0 if state.length == 0 else NEG_INF
-            prev_nonblank[0, j] = NEG_INF
-            prev_blank[1:, j] = state.blank[:-1]
-            prev_nonblank[1:, j] = state.nonblank[:-1]
+        prev = np.empty((2, self._frames, len(states)))
+        prev[0, 0] = [0.0 if state.length == 0 else NEG_INF for state in states]
+        prev[1, 0] = NEG_INF
+        vectors = np.array(
+            [[state.blank[:-1] for state in states], [state.nonblank[:-1] for state in states]]
+        )
+        prev[:, 1:] = vectors.transpose(0, 2, 1)
+        prev_blank, prev_nonblank = prev
         return prev_blank, np.logaddexp(prev_blank, prev_nonblank)
 
     def candidate_scores(
@@ -141,33 +161,47 @@ class CtcPrefixScorer:
         self, extensions: Sequence[tuple[CtcState, int]]
     ) -> list[CtcState]:
         """Forward vectors for chosen (state, column) extensions."""
-        frames, n = self._frames, len(extensions)
         states = [state for state, _ in extensions]
-        cols = np.asarray([col for _, col in extensions])
+        columns = [col for _, col in extensions]
         prev_blank, prev_total = self._transition(states)
         same = np.array([state.last_column == col for state, col in extensions])
         phi = np.where(same[None, :], prev_blank, prev_total)
-        x = self._logp[:, cols]
-        nonblank = np.empty((frames, n))
-        blank = np.empty((frames, n))
-        nonblank[0] = x[0] + phi[0]
-        blank[0] = NEG_INF
-        log_blank = self._log_blank
-        for t in range(1, frames):
-            nonblank[t] = x[t] + np.logaddexp(nonblank[t - 1], phi[t])
-            blank[t] = log_blank[t] + np.logaddexp(blank[t - 1], nonblank[t - 1])
-        scores = np.logaddexp.reduce(phi + x, axis=0)
+        x = self._logp[:, columns]
+        log_blank = self._log_blank[:, None]
+        forward = np.empty((2,) + x.shape)
+        nonblank, blank = forward
+        last_nonblank = last_blank = NEG_INF
+        for a, e in self._segments:
+            start = np.logaddexp(last_nonblank, phi[a])
+            _log_linear_scan(nonblank[a:e], start, x[a:e], phi[a + 1 : e])
+            start = np.logaddexp(last_blank, last_nonblank)
+            _log_linear_scan(blank[a:e], start, log_blank[a:e], nonblank[a : e - 1])
+            last_nonblank, last_blank = nonblank[e - 1], blank[e - 1]
+        scores = np.logaddexp.reduce(phi + x, axis=0).tolist()
+        # One buffer per state, so a kept state holds no other state's vectors.
+        pairs = [pair.copy() for pair in forward.transpose(2, 0, 1)]
         return [
-            CtcState(
-                self,
-                nonblank[:, k].copy(),
-                blank[:, k].copy(),
-                int(cols[k]),
-                float(scores[k]),
-                states[k].length + 1,
-            )
-            for k in range(n)
+            CtcState(self, pair[0], pair[1], col, score, state.length + 1)
+            for pair, col, score, state in zip(pairs, columns, scores, states)
         ]
+
+
+def _log_linear_scan(out: np.ndarray, start, gain: np.ndarray, drive: np.ndarray) -> None:
+    """Solve ``y[0] = gain[0] + start``, ``y[t] = gain[t] + logaddexp(y[t-1], drive[t-1])``.
+
+    With ``G = cumsum(gain)`` the recurrence unrolls to ``y[t] = G[t] +
+    logsumexp(start, drive[s-1] - G[s-1] for 1 <= s <= t)``: one cumulative
+    sum and one ``logaddexp`` scan down the rows of ``out``.  ``gain`` must
+    be finite on every row but the last.
+    """
+    if not len(drive):  # a one-row block is a single step
+        np.add(start, gain[0], out=out[0])
+        return
+    sums = np.cumsum(gain, axis=0)
+    out[0] = start
+    np.subtract(drive, sums[:-1], out=out[1:])
+    np.logaddexp.accumulate(out, axis=0, out=out)
+    out += sums
 
 
 def ctc_init(posteriors: PosteriorMatrix) -> CtcState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -66,6 +67,8 @@ def load_posteriors(
             row = [float(field) for field in fields]
         except ValueError:
             raise PosteriorFormatError(f"{path}:{number}: non-numeric probability") from None
+        if not all(math.isfinite(value) for value in row):
+            raise PosteriorFormatError(f"{path}:{number}: non-finite probability")
         if any(value < 0.0 for value in row):
             raise PosteriorFormatError(f"{path}:{number}: negative probability")
         total = sum(row)

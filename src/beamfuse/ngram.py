@@ -244,12 +244,15 @@ def load_model(path: str | Path) -> NGramModel:
         raise ValueError(f"{path}: not a language-model file")
     if payload.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
-    return NGramModel(
-        payload["order"],
-        payload["level"],
-        payload["tokens"],
-        counts=[
-            {tuple(ctx): dict(table) for ctx, table in level_counts.items()}
-            for level_counts in payload["counts"]
-        ],
-    )
+    try:
+        return NGramModel(
+            payload["order"],
+            payload["level"],
+            payload["tokens"],
+            counts=[
+                {tuple(ctx): dict(table) for ctx, table in level_counts.items()}
+                for level_counts in payload["counts"]
+            ],
+        )
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed language-model file") from exc

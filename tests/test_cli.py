@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes and byte-level determinism."""
 
+import pickle
+
 import pytest
 
 from beamfuse import load_model, load_vocabulary
@@ -159,6 +161,33 @@ def test_decode_malformed_posteriors_is_data_error(workspace, capsys):
     code = main(["decode", "--posteriors", str(bad), "--out", str(workspace / "n.txt")])
     assert code == 2
     assert "row sums to" in capsys.readouterr().err
+
+
+def test_decode_nan_posteriors_is_data_error(workspace, capsys):
+    bad = workspace / "nan.tsv"
+    bad.write_text("a\t<blank>\n0.5\t0.5\nnan\tnan\n0.5\t0.5\n", encoding="utf-8")
+    code = main(["decode", "--posteriors", str(bad), "--out", str(workspace / "n.txt")])
+    assert code == 2
+    assert "nan.tsv:3: non-finite probability" in capsys.readouterr().err
+
+
+def test_decode_malformed_model_is_data_error(workspace, capsys):
+    bad = workspace / "keyless.lm"
+    with open(bad, "wb") as fh:
+        pickle.dump({"format": "beamfuse-ngram", "version": 1}, fh)
+    code = main(
+        [
+            "decode",
+            "--posteriors", str(workspace / "data" / "utt_0000.tsv"),
+            "--lm-strategy", "char",
+            "--char-lm", str(bad),
+            "--out", str(workspace / "n.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "keyless.lm: malformed language-model file" in err
+    assert "Traceback" not in err
 
 
 def test_bench_requires_three_repetitions(workspace, capsys):

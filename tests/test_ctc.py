@@ -149,6 +149,10 @@ def test_matrix_validation():
         PosteriorMatrix(("a", BLANK), np.array([[1.2, -0.2]]))
     with pytest.raises(ValueError, match="shape"):
         PosteriorMatrix(("a", BLANK), np.full((2, 3), 1 / 3))
+    with pytest.raises(ValueError, match="frame 1 has a non-finite entry"):
+        PosteriorMatrix(("a", BLANK), np.array([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        PosteriorMatrix(("a", BLANK), np.array([[np.inf, 0.5]]))
 
 
 def test_cannot_extend_by_blank():
@@ -171,3 +175,104 @@ def test_greedy_decode_collapses_argmax():
     )
     mat = PosteriorMatrix(("a", "b", BLANK), probs)
     assert greedy_decode(mat) == ["a", "a", "b"]
+
+
+def reference_extension(scorer, state, column):
+    """The textbook per-frame forward recursion for one extension."""
+    frames = scorer.matrix.n_frames
+    with np.errstate(divide="ignore"):
+        logp = np.log(scorer.matrix.probs)
+    x = logp[:, column]
+    log_blank = logp[:, scorer.matrix.blank_index]
+    prev_blank = np.concatenate(([0.0 if state.length == 0 else -np.inf], state.blank[:-1]))
+    prev_nonblank = np.concatenate(([-np.inf], state.nonblank[:-1]))
+    phi = prev_blank if state.last_column == column else np.logaddexp(prev_blank, prev_nonblank)
+    nonblank = np.empty(frames)
+    blank = np.empty(frames)
+    nonblank[0] = x[0] + phi[0]
+    blank[0] = -np.inf
+    for t in range(1, frames):
+        nonblank[t] = x[t] + np.logaddexp(nonblank[t - 1], phi[t])
+        blank[t] = log_blank[t] + np.logaddexp(blank[t - 1], nonblank[t - 1])
+    return nonblank, blank
+
+
+def assert_matches_reference(got, want):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.isfinite(got[finite]).all()
+    err = np.abs(got[finite] - want[finite])
+    assert (err <= 1e-10 * np.maximum(1.0, np.abs(want[finite]))).all()
+
+
+def check_against_reference(mat, paths):
+    """Extend along each label path, batched, and compare every state."""
+    scorer = CtcPrefixScorer(mat)
+    states = [scorer.initial_state()] * len(paths)
+    for step in range(len(paths[0])):
+        columns = [scorer.column(path[step]) for path in paths]
+        extended = scorer.extended_states(list(zip(states, columns)))
+        for state, column, new in zip(states, columns, extended):
+            nonblank, blank = reference_extension(scorer, state, column)
+            assert_matches_reference(new.nonblank, nonblank)
+            assert_matches_reference(new.blank, blank)
+        states = extended
+
+
+LONG_LABELS = tuple("abcdefghij") + (BLANK,)
+LONG_PATHS = ["abcabc", "aabbcc", "jihgfe", "aaaaaa"]
+
+
+def test_extension_matches_reference_on_long_peaked_rows():
+    rng = np.random.default_rng(41)
+    frames = 2000
+    alpha = np.full((frames, len(LONG_LABELS)), 0.02)
+    alpha[np.arange(frames), rng.integers(0, len(LONG_LABELS), frames)] = 7.2
+    probs = np.array([rng.dirichlet(row) for row in alpha])
+    assert (probs > 0).all() and np.log(probs).min() < -300
+    check_against_reference(PosteriorMatrix(LONG_LABELS, probs), LONG_PATHS)
+
+
+def test_extension_matches_reference_across_zero_probabilities():
+    rng = np.random.default_rng(43)
+    width = len(LONG_LABELS)
+    one_hot = np.eye(width)[rng.integers(0, width, 60)]
+    check_against_reference(PosteriorMatrix(LONG_LABELS, one_hot), LONG_PATHS)
+
+    probs = rng.dirichlet(np.ones(width), size=80)
+    probs[[5, 17, 18], 0] = 0.0  # zeros in a used column ("a")
+    probs[[30, 44], -1] = 0.0  # zeros in the blank column
+    probs /= probs.sum(axis=1, keepdims=True)
+    check_against_reference(PosteriorMatrix(LONG_LABELS, probs), LONG_PATHS)
+
+
+def test_repeated_label_across_a_zero_frame():
+    labels = ("a", "b", BLANK)
+    probs = np.full((7, 3), 1 / 3)
+    probs[3] = [0.0, 0.5, 0.5]  # "a" impossible at frame 3
+    probs[4] = [0.5, 0.5, 0.0]  # blank impossible at frame 4
+    mat = PosteriorMatrix(labels, probs)
+    check_against_reference(mat, ["aa", "ab", "ba"])
+    # the "aa" path needs an intervening blank: exact by enumeration
+    scorer = CtcPrefixScorer(mat)
+    state = scorer.initial_state()
+    for label in "aa":
+        state = scorer.extended_states([(state, scorer.column(label))])[0]
+    assert math.exp(ctc_final(state)) == pytest.approx(
+        ctc_brute_force_full(mat, ["a", "a"]), abs=1e-12
+    )
+
+
+def test_batched_extension_is_bitwise_equal_to_single():
+    rng = np.random.default_rng(47)
+    probs = rng.dirichlet(np.ones(len(LONG_LABELS)), size=50)
+    probs[[7, 8, 30]] = np.eye(len(LONG_LABELS))[[1, -1, 4]]
+    scorer = CtcPrefixScorer(PosteriorMatrix(LONG_LABELS, probs))
+    root = scorer.initial_state()
+    parents = scorer.extended_states([(root, 0), (root, 1), (root, 4)])
+    extensions = [(parent, col) for parent in parents for col in (0, 1, 2, 4)]
+    batch = scorer.extended_states(extensions)
+    for extension, state in zip(extensions, batch):
+        single = scorer.extended_states([extension])[0]
+        assert np.array_equal(single.nonblank, state.nonblank)
+        assert np.array_equal(single.blank, state.blank)

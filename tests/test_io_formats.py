@@ -68,6 +68,10 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(PosteriorFormatError, match=r":2: non-numeric"):
         load_posteriors(path)
 
+    path = _write(tmp_path, header + "\n0.5\t0.5\nnan\t0.5\n")
+    with pytest.raises(PosteriorFormatError, match=r":3: non-finite probability"):
+        load_posteriors(path)
+
     path = _write(tmp_path, header + "\n1.5\t-0.5\n")
     with pytest.raises(PosteriorFormatError, match=r":2: negative"):
         load_posteriors(path)
