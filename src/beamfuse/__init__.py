@@ -33,7 +33,6 @@ from .fusion import (
     EmptyWordError,
     LookAheadScorer,
     MultiLevelScorer,
-    NullScorer,
     lookahead_prob,
 )
 from .io_formats import (
@@ -79,7 +78,6 @@ __all__ = [
     "MarkovText",
     "MultiLevelScorer",
     "NGramModel",
-    "NullScorer",
     "PosteriorFormatError",
     "PosteriorMatrix",
     "PrefixTree",

@@ -152,15 +152,19 @@ class CtcPrefixScorer:
     ) -> np.ndarray:
         """Log prefix scores for every state extended by every column; (H, C)."""
         prev_blank, prev_total = self._transition(states)
-        cols = np.asarray(columns)
-        same = np.array([[state.last_column == c for c in cols] for state in states])
-        phi = np.where(same[None, :, :], prev_blank[:, :, None], prev_total[:, :, None])
-        return np.logaddexp.reduce(phi + self._logp[:, cols][:, None, :], axis=0)
+        x = self._logp[:, columns]
+        terms = prev_total[:, :, None] + x[:, None, :]
+        # A repeated label can only follow its first emission after a blank.
+        last = np.array([state.last_column for state in states])
+        rows, cols = np.nonzero(last[:, None] == np.asarray(columns))
+        terms[:, rows, cols] = prev_blank[:, rows] + x[:, cols]
+        return np.logaddexp.reduce(terms, axis=0)
 
     def extended_states(
-        self, extensions: Sequence[tuple[CtcState, int]]
+        self, extensions: Sequence[tuple[CtcState, int]], log_prefix: Sequence[float] | None = None
     ) -> list[CtcState]:
-        """Forward vectors for chosen (state, column) extensions."""
+        """Forward vectors for chosen (state, column) extensions; *log_prefix*
+        passes their scores from ``candidate_scores``, which holds them bitwise."""
         states = [state for state, _ in extensions]
         columns = [col for _, col in extensions]
         prev_blank, prev_total = self._transition(states)
@@ -177,12 +181,13 @@ class CtcPrefixScorer:
             start = np.logaddexp(last_blank, last_nonblank)
             _log_linear_scan(blank[a:e], start, log_blank[a:e], nonblank[a : e - 1])
             last_nonblank, last_blank = nonblank[e - 1], blank[e - 1]
-        scores = np.logaddexp.reduce(phi + x, axis=0).tolist()
+        if log_prefix is None:
+            log_prefix = np.logaddexp.reduce(phi + x, axis=0).tolist()
         # One buffer per state, so a kept state holds no other state's vectors.
         pairs = [pair.copy() for pair in forward.transpose(2, 0, 1)]
         return [
             CtcState(self, pair[0], pair[1], col, score, state.length + 1)
-            for pair, col, score, state in zip(pairs, columns, scores, states)
+            for pair, col, score, state in zip(pairs, columns, log_prefix, states)
         ]
 
 

@@ -17,10 +17,11 @@ search deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
+
+import numpy as np
 
 from .ctc import CtcPrefixScorer, CtcState, PosteriorMatrix, ctc_final
-from .fusion import EmptyWordError, NullScorer
 from .vocab import EOS, from_char_labels
 
 _ENUM_LIMIT = 1_000_000
@@ -53,10 +54,9 @@ class DecodeConfig:
             raise ValueError("n_best must be >= 1")
 
 
-def combine_scores(
-    ctc_score: float, att_score: float, lm_score: float, config: DecodeConfig
-) -> float:
-    """Joint hypothesis score; zero-weight components are dropped outright."""
+def combine_scores(ctc_score, att_score, lm_score, config: DecodeConfig):
+    """Joint hypothesis score; zero-weight components are dropped outright.
+    Floats and broadcastable arrays get the same terms in the same order."""
     total = 0.0
     if config.ctc_weight != 0.0:
         total += config.ctc_weight * ctc_score
@@ -86,8 +86,9 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Ranked hypotheses; ``complete`` is False only when the search exhausted
-    without a single finalized hypothesis and fell back to incomplete ones."""
+    """Ranked finalized hypotheses.  ``complete`` is always True: the empty
+    hypothesis is finalized at the first step, so the search never has to
+    fall back to unfinished ones."""
 
     hypotheses: list[Hypothesis]
     complete: bool
@@ -97,54 +98,87 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
     return (-hyp.joint, hyp.labels)
 
 
-def _finalize(hyp: Hypothesis, lm, att, config: DecodeConfig) -> Hypothesis:
-    ctc = ctc_final(hyp.ctc_state)
-    att_total = hyp.att_score + att.final(hyp.att_state)
-    lm_total = hyp.lm_score + lm.final(hyp.lm_state)
-    return Hypothesis(
-        hyp.labels,
-        ctc,
-        att_total,
-        lm_total,
-        combine_scores(ctc, att_total, lm_total, config),
-        True,
-        hyp.ctc_state,
-        hyp.lm_state,
-        hyp.att_state,
-    )
+class _Search:
+    """One decode's scorers, labels, weights and expansion step.  A missing
+    scorer is a missing term: it adds nothing to any score."""
 
+    def __init__(self, posteriors: PosteriorMatrix, lm, att, config: DecodeConfig):
+        self.ctc = CtcPrefixScorer(posteriors)
+        self.labels = sorted(posteriors.char_labels)
+        for role, scorer in (("lm", lm), ("att", att)):
+            for label in (*self.labels, EOS) if scorer is not None else ():
+                if label not in scorer.labels:
+                    raise ValueError(f"{role} scorer cannot score label {label!r}")
+        self.columns = [self.ctc.column(label) for label in self.labels]
+        self.lm, self.att, self.config = lm, att, config
+        self.max_len = config.max_len if config.max_len is not None else posteriors.n_frames
 
-def _initial_hypothesis(scorer: CtcPrefixScorer, lm, att, config: DecodeConfig) -> Hypothesis:
-    return Hypothesis(
-        (),
-        0.0,
-        0.0,
-        0.0,
-        combine_scores(0.0, 0.0, 0.0, config),
-        False,
-        scorer.initial_state(),
-        lm.initial_state(),
-        att.initial_state(),
-    )
+    def initial(self) -> Hypothesis:
+        lm = None if self.lm is None else self.lm.initial_state()
+        att = None if self.att is None else self.att.initial_state()
+        joint = combine_scores(0.0, 0.0, 0.0, self.config)
+        return Hypothesis((), 0.0, 0.0, 0.0, joint, False, self.ctc.initial_state(), lm, att)
 
+    def finalize(self, hyp: Hypothesis) -> Hypothesis:
+        """*hyp* extended by ``<eos>``: exact-match CTC plus the scorers' final terms."""
+        ctc = ctc_final(hyp.ctc_state)
+        att = hyp.att_score if self.att is None else hyp.att_score + self.att.final(hyp.att_state)
+        lm = hyp.lm_score if self.lm is None else hyp.lm_score + self.lm.final(hyp.lm_state)
+        joint = combine_scores(ctc, att, lm, self.config)
+        states = (hyp.ctc_state, hyp.lm_state, hyp.att_state)
+        return Hypothesis(hyp.labels, ctc, att, lm, joint, True, *states)
 
-def _check_labels(labels: Sequence[str], scorer, role: str) -> None:
-    inventory = getattr(scorer, "labels", None)
-    if inventory is None:
-        return
-    for label in (*labels, EOS):
-        if label not in inventory:
-            raise ValueError(f"{role} scorer cannot score label {label!r}")
+    def upper_bound(self, hyp: Hypothesis) -> float:
+        """Joint score no completion of *hyp* can exceed."""
+        att, lm = hyp.att_score, hyp.lm_score
+        if self.att is not None:
+            att += self.att.future_score_bound(hyp.att_state)
+        if self.lm is not None:
+            lm += self.lm.future_score_bound(hyp.lm_state)
+        return combine_scores(hyp.ctc_score, att, lm, self.config)
 
+    def expand(self, beam: list[Hypothesis], width: int | None) -> list[Hypothesis]:
+        """The best *width* (all when None) one-label extensions of *beam*.
 
-def _upper_bound(hyp: Hypothesis, lm, att, config: DecodeConfig) -> float:
-    """Joint score no completion of *hyp* can exceed."""
-    return combine_scores(
-        hyp.ctc_score,
-        hyp.att_score + att.future_score_bound(hyp.att_state),
-        hyp.lm_score + lm.future_score_bound(hyp.lm_state),
-        config,
-    )
+        Each scorer scores the whole step as an (H, C) matrix, and only the
+        survivors get new states.  Children are ranked by (-joint, labels):
+        the parents are distinct label sequences of equal length, so a
+        parent's lexicographic rank, then the label index, orders them.
+        """
+        ctc = self.ctc.candidate_scores([hyp.ctc_state for hyp in beam], self.columns)
+        att = self._totals(self.att, [h.att_score for h in beam], [h.att_state for h in beam])
+        lm = self._totals(self.lm, [h.lm_score for h in beam], [h.lm_state for h in beam])
+        joint = combine_scores(ctc, att, lm, self.config)
+        # NaN marks a label a scorer cannot take: the end of an empty word.
+        parents, cols = np.nonzero(~np.isnan(att + lm))
+        rank = np.empty(len(beam), dtype=np.intp)
+        rank[sorted(range(len(beam)), key=lambda j: beam[j].labels)] = np.arange(len(beam))
+        keep = np.lexsort((cols, rank[parents], -joint[parents, cols]))[:width]
+        parents, cols = parents[keep], cols[keep]
+        scores = [x[parents, cols].tolist() for x in (ctc, att, lm, joint)]
+        parents, cols = parents.tolist(), cols.tolist()
+        if not parents:
+            return []
+        states = self.ctc.extended_states(
+            [(beam[j].ctc_state, self.columns[i]) for j, i in zip(parents, cols)],
+            log_prefix=scores[0],
+        )
+        children = []
+        for j, i, ctc_state, *totals in zip(parents, cols, states, *scores):
+            hyp, label = beam[j], self.labels[i]
+            lm_state = None if self.lm is None else self.lm.advance(hyp.lm_state, label)
+            att_state = None if self.att is None else self.att.advance(hyp.att_state, label)
+            children.append(
+                Hypothesis(hyp.labels + (label,), *totals, False, ctc_state, lm_state, att_state)
+            )
+        return children
+
+    def _totals(self, scorer, scores: list[float], states: list) -> np.ndarray:
+        """Accumulated scores plus this step's, as an (H, C) matrix."""
+        totals = np.array(scores)[:, None]
+        if scorer is None:
+            return totals.repeat(len(self.labels), axis=1)
+        return totals + scorer.score_all(states, self.labels)
 
 
 def decode(
@@ -160,69 +194,29 @@ def decode(
     posteriors : PosteriorMatrix
         Frame posteriors; its non-blank labels form the extension set.
     lm, att : scorer or None
-        LM fusion scorer and attention-slot scorer.  ``None`` means score
-        one everywhere.
+        LM fusion scorer and attention-slot scorer.  ``None`` means the
+        term is left out (it scores zero everywhere).
     """
-    lm = lm if lm is not None else NullScorer()
-    att = att if att is not None else NullScorer()
-    scorer = CtcPrefixScorer(posteriors)
-    labels = sorted(posteriors.char_labels)
-    _check_labels(labels, lm, "lm")
-    _check_labels(labels, att, "att")
-    columns = [scorer.column(label) for label in labels]
-    max_len = config.max_len if config.max_len is not None else posteriors.n_frames
-
-    beam = [_initial_hypothesis(scorer, lm, att, config)]
+    search = _Search(posteriors, lm, att, config)
+    beam = [search.initial()]
     complete: list[Hypothesis] = []
 
-    for step in range(max_len + 1):
-        for hyp in beam:
-            complete.append(_finalize(hyp, lm, att, config))
+    for step in range(search.max_len + 1):
+        complete.extend(search.finalize(hyp) for hyp in beam)
         complete.sort(key=_rank)
         del complete[config.n_best :]
-        if step == max_len or not beam:
+        if step == search.max_len or not beam:
             break
-
-        ctc_scores = scorer.candidate_scores([hyp.ctc_state for hyp in beam], columns)
-        candidates = []
-        for j, hyp in enumerate(beam):
-            for i, label in enumerate(labels):
-                try:
-                    lm_step, lm_state = lm.score(hyp.lm_state, label)
-                except EmptyWordError:
-                    continue
-                att_step, att_state = att.score(hyp.att_state, label)
-                ctc = float(ctc_scores[j, i])
-                att_total = hyp.att_score + att_step
-                lm_total = hyp.lm_score + lm_step
-                joint = combine_scores(ctc, att_total, lm_total, config)
-                candidates.append(
-                    (joint, hyp.labels + (label,), j, i, ctc, att_total, lm_total, lm_state, att_state)
-                )
-        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-        del candidates[config.beam_width :]
-        if not candidates:
-            beam = []
-            continue
-        states = scorer.extended_states(
-            [(beam[cand[2]].ctc_state, columns[cand[3]]) for cand in candidates]
-        )
-        beam = [
-            Hypothesis(cand[1], cand[4], cand[5], cand[6], cand[0], False, state, cand[7], cand[8])
-            for cand, state in zip(candidates, states)
-        ]
+        beam = search.expand(beam, config.beam_width)
         # Stop once no live hypothesis can still beat the worst kept
         # complete one; the bound is only tight for OOV scales <= 1, and
         # scorers report an infinite bound otherwise, which disables this.
         if len(complete) == config.n_best:
             worst = complete[-1].joint
-            if all(_upper_bound(hyp, lm, att, config) < worst for hyp in beam):
+            if all(search.upper_bound(hyp) < worst for hyp in beam):
                 break
 
-    if complete:
-        return DecodeResult(complete, True)
-    fallback = sorted(beam, key=_rank)[: config.n_best]
-    return DecodeResult(fallback, False)
+    return DecodeResult(complete, True)
 
 
 def exhaustive_decode(
@@ -233,49 +227,21 @@ def exhaustive_decode(
 ) -> DecodeResult:
     """Score every label sequence up to ``max_len``; oracle for ``decode``.
 
-    Shares the scoring code paths with the beam search so a saturated beam
-    reproduces its ranking exactly, including floating-point behavior.
+    Expands each hypothesis with the beam search's own step, unpruned, so a
+    saturated beam reproduces its ranking exactly, floating point included.
     """
-    lm = lm if lm is not None else NullScorer()
-    att = att if att is not None else NullScorer()
-    scorer = CtcPrefixScorer(posteriors)
-    labels = sorted(posteriors.char_labels)
-    _check_labels(labels, lm, "lm")
-    _check_labels(labels, att, "att")
-    columns = [scorer.column(label) for label in labels]
-    max_len = config.max_len if config.max_len is not None else posteriors.n_frames
-    if sum(len(labels) ** length for length in range(max_len + 1)) > _ENUM_LIMIT:
+    search = _Search(posteriors, lm, att, config)
+    if sum(len(search.labels) ** n for n in range(search.max_len + 1)) > _ENUM_LIMIT:
         raise ValueError("search space too large to enumerate")
 
     results: list[Hypothesis] = []
 
     def expand(hyp: Hypothesis, depth: int) -> None:
-        results.append(_finalize(hyp, lm, att, config))
-        if depth == max_len:
-            return
-        ctc_scores = scorer.candidate_scores([hyp.ctc_state], columns)[0]
-        for i, label in enumerate(labels):
-            try:
-                lm_step, lm_state = lm.score(hyp.lm_state, label)
-            except EmptyWordError:
-                continue
-            att_step, att_state = att.score(hyp.att_state, label)
-            state = scorer.extended_states([(hyp.ctc_state, columns[i])])[0]
-            att_total = hyp.att_score + att_step
-            lm_total = hyp.lm_score + lm_step
-            child = Hypothesis(
-                hyp.labels + (label,),
-                float(ctc_scores[i]),
-                att_total,
-                lm_total,
-                combine_scores(float(ctc_scores[i]), att_total, lm_total, config),
-                False,
-                state,
-                lm_state,
-                att_state,
-            )
-            expand(child, depth + 1)
+        results.append(search.finalize(hyp))
+        if depth < search.max_len:
+            for child in search.expand([hyp], None):
+                expand(child, depth + 1)
 
-    expand(_initial_hypothesis(scorer, lm, att, config), 0)
+    expand(search.initial(), 0)
     results.sort(key=_rank)
     return DecodeResult(results[: config.n_best], True)

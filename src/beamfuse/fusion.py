@@ -1,13 +1,13 @@
 """Character-level LM fusion scorers for label-synchronous beam search.
 
-Three interchangeable strategies share one interface (``initial_state`` /
-``score`` / ``final``): a plain character LM, a multi-level scorer that swaps
-accumulated character mass for word probabilities at word boundaries, and a
-prefix-tree look-ahead scorer that charges word-mass ratios while a word is
-still being spelled.  ``score`` returns a natural-log value per label; a
-returned value may exceed zero because boundary corrections are ratios, not
-probabilities.  States are immutable and cheap to fork per hypothesis, and
-repeated calls with the same state and label agree bit for bit.
+Three interchangeable strategies share one interface: ``score_all`` scores a
+whole beam step as an (H, C) array of natural-log scores, NaN where a
+word-end label would close an empty word; ``advance`` builds one survivor's
+child state; ``score`` is the one-label view of the two.  Scores may exceed
+zero because boundary corrections are ratios, not probabilities.  States are
+immutable.  Logs are taken with ``math.log`` one value at a time (``np.log``
+can differ in the last bit), so ``score_all`` holds exactly the floats
+``score`` returns, and repeated calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,27 @@ def lookahead_prob(tree: PrefixTree, node: int, sums: np.ndarray) -> float:
     return float(sums[hi + 1] - sums[lo])
 
 
+def _logs(values: np.ndarray) -> list[float]:
+    return [math.log(value) for value in values.tolist()]
+
+
+def _token_ids(ids: dict[str, int], labels: Sequence[str]) -> list[int]:
+    try:
+        return [ids[label] for label in labels]
+    except KeyError as exc:
+        raise ValueError(f"unknown label {exc.args[0]!r}") from None
+
+
+class _FusionScorer:
+    """``score`` as the one-label view of ``score_all`` plus ``advance``."""
+
+    def score(self, state, label: str) -> tuple[float, object]:
+        logp = self.score_all([state], [label]).item()
+        if math.isnan(logp):
+            raise EmptyWordError("empty word at boundary")
+        return logp, self.advance(state, label)
+
+
 # ======================================================================
 # plain character LM
 # ======================================================================
@@ -48,7 +69,7 @@ class CharState:
     context: tuple[int, ...]
 
 
-class CharLMScorer:
+class CharLMScorer(_FusionScorer):
     """Every label costs its character-LM conditional probability.
 
     Also serves as the stand-in attention scorer: any object with this
@@ -67,37 +88,19 @@ class CharLMScorer:
     def initial_state(self, context: Sequence[str] = ()) -> CharState:
         return CharState(tuple(self._ids[label] for label in context)[-self._keep :] if self._keep else ())
 
-    def score(self, state: CharState, label: str) -> tuple[float, CharState]:
-        token = self._ids.get(label)
-        if token is None:
-            raise ValueError(f"unknown label {label!r}")
-        logp = math.log(self.model.prob(token, state.context))
-        context = (state.context + (token,))[-self._keep :] if self._keep else ()
-        return logp, CharState(context)
+    def score_all(self, states: Sequence[CharState], labels: Sequence[str]) -> np.ndarray:
+        tokens = _token_ids(self._ids, labels)
+        return np.array([_logs(self.model.full_distribution(s.context)[tokens]) for s in states])
+
+    def advance(self, state: CharState, label: str) -> CharState:
+        context = state.context + (self._ids[label],)
+        return CharState(context[-self._keep :] if self._keep else ())
 
     def final(self, state: CharState) -> float:
         return math.log(self.model.prob(self._eos, state.context))
 
     def future_score_bound(self, state: CharState) -> float:
         """Upper bound on log mass any completion can still add (here zero)."""
-        return 0.0
-
-
-class NullScorer:
-    """Scores every label with probability one; stands in for absent models."""
-
-    labels = None
-
-    def initial_state(self):
-        return None
-
-    def score(self, state, label: str) -> tuple[float, None]:
-        return 0.0, None
-
-    def final(self, state) -> float:
-        return 0.0
-
-    def future_score_bound(self, state) -> float:
         return 0.0
 
 
@@ -114,7 +117,7 @@ class MultiLevelState:
     pending_logp: float  # character-LM log mass accumulated for the pending word
 
 
-class MultiLevelScorer:
+class MultiLevelScorer(_FusionScorer):
     """Character-LM scores in-word, replaced by word probabilities at boundaries.
 
     Inside a word every label costs its character-LM probability and that
@@ -150,21 +153,27 @@ class MultiLevelScorer:
     def initial_state(self, word_history: Sequence[int] = ()) -> MultiLevelState:
         return MultiLevelState((), self._clip(tuple(word_history)), (), 0.0)
 
-    def score(self, state: MultiLevelState, label: str) -> tuple[float, MultiLevelState]:
-        token = self._ids.get(label)
-        if token is None:
-            raise ValueError(f"unknown label {label!r}")
+    def score_all(self, states: Sequence[MultiLevelState], labels: Sequence[str]) -> np.ndarray:
+        tokens = _token_ids(self._ids, labels)
+        ends = [i for i, label in enumerate(labels) if label in WORD_END_LABELS]
+        out = np.empty((len(states), len(labels)))
+        for row, state in zip(out, states):
+            row[:] = _logs(self.char_model.full_distribution(state.char_context)[tokens])
+            if ends:
+                row[ends] = self._close_word(state)[0] if state.pending else math.nan
+        return out
+
+    def advance(self, state: MultiLevelState, label: str) -> MultiLevelState:
+        token = self._ids[label]
         char_context = (
             (state.char_context + (token,))[-self._keep_chars :] if self._keep_chars else ()
         )
         if label in WORD_END_LABELS:
-            if not state.pending:
-                raise EmptyWordError("empty word at boundary")
-            logp, word_id = self._close_word(state)
+            word_id = self.vocab.lookup("".join(state.pending))
             history = self._clip(state.word_history + (word_id,))
-            return logp, MultiLevelState(char_context, history, (), 0.0)
+            return MultiLevelState(char_context, history, (), 0.0)
         logp = math.log(self.char_model.prob(token, state.char_context))
-        return logp, MultiLevelState(
+        return MultiLevelState(
             char_context, state.word_history, state.pending + (label,), state.pending_logp + logp
         )
 
@@ -206,11 +215,11 @@ class LookAheadState:
     node: int | None  # trie position; None after leaving every spelling
     node_log_mass: float  # log anticipated-word mass at node (0.0 when node is None)
     word_history: tuple[int, ...]
-    pending: tuple[str, ...]
     sums: np.ndarray  # cached cumulative word distribution for word_history
+    unk_logp: float  # the OOV charge: scaled log P(<UNK> | word_history)
 
 
-class LookAheadScorer:
+class LookAheadScorer(_FusionScorer):
     """Word-LM look-ahead over a prefix tree; no character LM involved.
 
     While a word is being spelled the hypothesis walks the tree and each
@@ -220,7 +229,8 @@ class LookAheadScorer:
     accumulated look-ahead mass against the actual word probability.
     Leaving every spelling charges the word LM's ``<UNK>`` probability once
     (scaled by *oov_scale*); labels after that are free until the next
-    word-end label commits ``<UNK>`` and re-enters at the root.
+    word-end label commits ``<UNK>`` and re-enters at the root.  The tree
+    root is the only state with no pending characters.
     """
 
     def __init__(
@@ -238,46 +248,54 @@ class LookAheadScorer:
         self.tree = tree if tree is not None else PrefixTree.build(vocab)
         self.oov_scale = oov_scale
         self.labels = frozenset(vocab.label_set)
+        self._columns = {**self.tree.columns, **dict.fromkeys(WORD_END_LABELS, -1)}
         self._keep_words = word_model.order - 1
         self._log_oov_scale = math.log(oov_scale)
 
     def initial_state(self, word_history: Sequence[int] = ()) -> LookAheadState:
         return self._root_state(self._clip(tuple(word_history)))
 
-    def score(self, state: LookAheadState, label: str) -> tuple[float, LookAheadState]:
-        if label not in self.labels:
-            raise ValueError(f"unknown label {label!r}")
+    def score_all(self, states: Sequence[LookAheadState], labels: Sequence[str]) -> np.ndarray:
+        tree = self.tree
+        columns = _token_ids(self._columns, labels)  # tree column; -1 for a word end
+        # A letter costs the child's anticipated-word mass over the node's,
+        # or the OOV charge when no vocabulary word continues the spelling;
+        # off the tree that charge is already paid.  Off-tree states (node
+        # -1) and word-end columns gather entries that are never read.
+        children = tree.child[[-1 if s.node is None else s.node for s in states]][:, columns]
+        upper, lower = tree.hi[children] + 1, tree.lo[children]
+        closes = -1 in columns
+        rows = []
+        for state, kids, up, low in zip(states, children.tolist(), upper, lower):
+            empty = state.node == PrefixTree.ROOT
+            end = math.nan if empty else closes and self._close_word(state)[0]
+            if state.node is None:
+                rows.append([end if column < 0 else 0.0 for column in columns])
+                continue
+            base, unk = state.node_log_mass, state.unk_logp
+            mass = (state.sums[up] - state.sums[low]).tolist()
+            rows.append(
+                [
+                    end if column < 0 else unk if kid < 0 else math.log(m) - base
+                    for column, kid, m in zip(columns, kids, mass)
+                ]
+            )
+        return np.array(rows).reshape(len(states), len(labels))
+
+    def advance(self, state: LookAheadState, label: str) -> LookAheadState:
         if label in WORD_END_LABELS:
-            if state.node == PrefixTree.ROOT and not state.pending:
-                raise EmptyWordError("empty word at boundary")
-            logp, word_id = self._close_word(state)
-            return logp, self._root_state(self._clip(state.word_history + (word_id,)))
-        node = state.node
-        if node is None:
-            # OOV probability was already charged when the tree was left.
-            return 0.0, LookAheadState(
-                None, 0.0, state.word_history, state.pending + (label,), state.sums
-            )
-        child = self.tree.descend(node, label)
-        if child is not None:
-            child_mass = math.log(lookahead_prob(self.tree, child, state.sums))
-            return child_mass - state.node_log_mass, LookAheadState(
-                child, child_mass, state.word_history, state.pending + (label,), state.sums
-            )
-        # No vocabulary word continues this spelling: pay the OOV charge now.
-        logp = self._unk_logp(state.word_history)
-        return logp, LookAheadState(
-            None, 0.0, state.word_history, state.pending + (label,), state.sums
-        )
+            word_id = self._word_id(state)
+            return self._root_state(self._clip(state.word_history + (word_id,)))
+        child = self.tree.descend(state.node, label)
+        mass = 0.0 if child is None else math.log(lookahead_prob(self.tree, child, state.sums))
+        return LookAheadState(child, mass, state.word_history, state.sums, state.unk_logp)
 
     def final(self, state: LookAheadState) -> float:
         """Word-end handling for <eos>, then the <eos> word-LM term."""
-        if state.node == PrefixTree.ROOT and not state.pending:
-            boundary = 0.0
-            history = state.word_history
-        else:
+        boundary, history = 0.0, state.word_history
+        if state.node != PrefixTree.ROOT:
             boundary, word_id = self._close_word(state)
-            history = self._clip(state.word_history + (word_id,))
+            history = self._clip(history + (word_id,))
         return boundary + math.log(self.word_model.prob(self.vocab.eos_id, history))
 
     def future_score_bound(self, state: LookAheadState) -> float:
@@ -286,24 +304,25 @@ class LookAheadScorer:
         # oov_scale <= 1 no completion adds positive log mass.
         return 0.0 if self.oov_scale <= 1.0 else math.inf
 
+    def _word_id(self, state: LookAheadState) -> int:
+        """The word a word-end label commits: the spelled word or ``<UNK>``."""
+        word_id = None if state.node is None else self.tree.word_end(state.node)
+        return self.vocab.unk_id if word_id is None else word_id
+
     def _close_word(self, state: LookAheadState) -> tuple[float, int]:
-        node = state.node
-        if node is None:
-            return 0.0, self.vocab.unk_id
-        word_id = self.tree.word_end(node)
-        if word_id is not None:
-            logp = math.log(self.word_model.prob(word_id, state.word_history))
-            return logp - state.node_log_mass, word_id
-        # The spelling stops short of every vocabulary word.
-        return self._unk_logp(state.word_history), self.vocab.unk_id
+        word_id = self._word_id(state)
+        if state.node is None:
+            return 0.0, word_id  # the OOV charge was paid on leaving the tree
+        if word_id == self.vocab.unk_id:
+            return state.unk_logp, word_id  # the spelling stops short of every word
+        logp = math.log(self.word_model.prob(word_id, state.word_history))
+        return logp - state.node_log_mass, word_id
 
     def _root_state(self, history: tuple[int, ...]) -> LookAheadState:
         sums = self.word_model.cumulative_distribution(history)
         mass = math.log(lookahead_prob(self.tree, PrefixTree.ROOT, sums))
-        return LookAheadState(PrefixTree.ROOT, mass, history, (), sums)
-
-    def _unk_logp(self, history: tuple[int, ...]) -> float:
-        return math.log(self.word_model.prob(self.vocab.unk_id, history)) + self._log_oov_scale
+        unk = math.log(self.word_model.prob(self.vocab.unk_id, history)) + self._log_oov_scale
+        return LookAheadState(PrefixTree.ROOT, mass, history, sums, unk)
 
     def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
         return history[-self._keep_words :] if self._keep_words else ()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pickle
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +69,17 @@ class NGramModel:
         self._counts = counts if counts is not None else [{} for _ in range(order)]
         if len(self._counts) != order:
             raise ValueError("count tables do not match model order")
+        # Checked over distinct values, which keeps loading fast.
+        for m, level_counts in enumerate(self._counts):
+            if set(map(len, level_counts)) - {m}:
+                raise ValueError(f"counts[{m}] holds a context whose length is not {m}")
+            tables = level_counts.values()
+            ids = set(chain(chain.from_iterable(level_counts), chain.from_iterable(tables)))
+            if set(map(type, ids)) - {int} or not ids <= set(range(len(self.tokens))):
+                raise ValueError(f"counts[{m}] names a token ID outside the inventory")
+            counts = set(chain.from_iterable(map(dict.values, tables)))
+            if not all(tables) or set(map(type, counts)) - {int} or min(counts, default=1) < 1:
+                raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
         self._totals = [
             {ctx: sum(table.values()) for ctx, table in level_counts.items()}
             for level_counts in self._counts
@@ -249,10 +261,7 @@ def load_model(path: str | Path) -> NGramModel:
             payload["order"],
             payload["level"],
             payload["tokens"],
-            counts=[
-                {tuple(ctx): dict(table) for ctx, table in level_counts.items()}
-                for level_counts in payload["counts"]
-            ],
+            counts=payload["counts"],
         )
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed language-model file") from exc

@@ -2,77 +2,81 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
 from .vocab import Vocabulary
 
 
-@dataclass
-class TrieNode:
-    """One spelling prefix; ``[min_id, max_id]`` spans the words below it."""
-
-    children: dict[str, int] = field(default_factory=dict)
-    word_id: int | None = None
-    min_id: int = 0
-    max_id: int = 0
-
-
 class PrefixTree:
-    """Trie over word spellings supporting descent and interval queries.
+    """Trie over word spellings, stored as arrays indexed by node (root 0).
 
-    Nodes live in a flat arena and refer to each other by index; the root is
-    always index 0.  Word IDs ascend with spelling order, so the words
-    anticipated below any node occupy one contiguous ID interval, and the
-    interval of a node encloses the intervals of all of its children.
+    Word IDs ascend with spelling order, so the words anticipated below node
+    ``n`` are one contiguous ID interval ``[lo[n], hi[n]]``, enclosing the
+    intervals of its children.  ``word_id[n]`` is the word spelled by the
+    path to ``n`` or -1, and ``child[n, k]`` the child along ``labels[k]`` or
+    -1, so the children of many nodes along many labels are one gather.
     """
 
     ROOT = 0
 
-    def __init__(self, nodes: list[TrieNode]):
-        self.nodes = nodes
+    def __init__(self, labels, lo, hi, word_id, child):
+        self.labels = tuple(labels)
+        self.columns = {label: k for k, label in enumerate(self.labels)}
+        self.lo, self.hi, self.word_id, self.child = lo, hi, word_id, child
 
     @classmethod
     def build(cls, vocab: Vocabulary) -> "PrefixTree":
         if not vocab.words:
             raise ValueError("vocabulary has no spelled words")
-        nodes = [TrieNode(min_id=0, max_id=0)]
-        for word_id, word in enumerate(vocab.words):
-            nodes[cls.ROOT].max_id = word_id
-            cursor = cls.ROOT
+        labels = sorted({ch for word in vocab.words for ch in word})
+        columns = {label: k for k, label in enumerate(labels)}
+        lo, hi, word_id, out, edges = [0], [0], [-1], [{}], []
+        for wid, word in enumerate(vocab.words):
+            # Words arrive in ascending ID order, so the first word through
+            # a node fixes its lo and the latest its hi.
+            node = cls.ROOT
+            hi[node] = wid
             for ch in word:
-                child = nodes[cursor].children.get(ch)
+                child = out[node].get(ch)
                 if child is None:
-                    child = len(nodes)
-                    nodes[cursor].children[ch] = child
-                    nodes.append(TrieNode(min_id=word_id, max_id=word_id))
-                else:
-                    # Words arrive in ascending ID order, so the first word
-                    # through a node fixes min_id and the latest fixes max_id.
-                    nodes[child].max_id = word_id
-                cursor = child
-            nodes[cursor].word_id = word_id
-        return cls(nodes)
+                    child = out[node][ch] = len(lo)
+                    edges.append((node, columns[ch]))
+                    lo.append(wid)
+                    word_id.append(-1)
+                    hi.append(wid)
+                    out.append({})
+                hi[child] = wid
+                node = child
+            word_id[node] = wid
+        child = np.full((len(lo), len(labels)), -1, dtype=np.int32)
+        child[tuple(zip(*edges))] = np.arange(1, len(lo))
+        return cls(labels, np.array(lo), np.array(hi), np.array(word_id), child)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.lo)
 
     def descend(self, node: int | None, label: str) -> int | None:
         """Child of *node* along *label*; ``None`` is absorbing."""
-        if node is None:
+        column = self.columns.get(label)
+        if node is None or column is None:
             return None
-        return self.nodes[node].children.get(label)
+        child = int(self.child[node, column])
+        return child if child >= 0 else None
 
     def interval(self, node: int) -> tuple[int, int]:
         """Smallest and largest word ID anticipated at *node*."""
-        entry = self.nodes[node]
-        return entry.min_id, entry.max_id
+        return int(self.lo[node]), int(self.hi[node])
 
     def word_end(self, node: int) -> int | None:
         """Word ID when the path to *node* spells a complete word, else None."""
-        return self.nodes[node].word_id
+        word_id = int(self.word_id[node])
+        return word_id if word_id >= 0 else None
 
     def children(self, node: int) -> dict[str, int]:
-        return self.nodes[node].children
+        """Label-to-child map of *node*, in label order."""
+        return {
+            label: int(child) for label, child in zip(self.labels, self.child[node]) if child >= 0
+        }
 
     def dump_lines(self) -> list[str]:
         """One line per node: path, interval bounds, and word end or ``-``."""
@@ -80,9 +84,8 @@ class PrefixTree:
         stack = [(self.ROOT, "")]
         while stack:
             node, path = stack.pop()
-            entry = self.nodes[node]
-            word = "-" if entry.word_id is None else str(entry.word_id)
-            lines.append(f"{path}\t{entry.min_id}\t{entry.max_id}\t{word}")
-            for ch in sorted(entry.children, reverse=True):
-                stack.append((entry.children[ch], path + ch))
+            word = self.word_id[node]
+            lines.append(f"{path}\t{self.lo[node]}\t{self.hi[node]}\t{'-' if word < 0 else word}")
+            for label, child in reversed(self.children(node).items()):
+                stack.append((child, path + label))
         return lines

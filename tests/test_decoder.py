@@ -9,7 +9,9 @@ from beamfuse import (
     BLANK,
     SPACE,
     CharLMScorer,
+    CtcPrefixScorer,
     DecodeConfig,
+    EmptyWordError,
     LookAheadScorer,
     MultiLevelScorer,
     PosteriorMatrix,
@@ -222,3 +224,176 @@ def test_n_best_is_ranked_and_distinct(trained_char_lm):
     labelings = [hyp.labels for hyp in result.hypotheses]
     assert len(set(labelings)) == len(labelings)
     assert all(hyp.complete for hyp in result.hypotheses)
+
+
+def test_missing_scorer_is_a_missing_term(trained_char_lm):
+    """Without a scorer its term is zero: no state, no step or final score."""
+    mat = synth_posteriors(["cat"], LABELS, peak=0.8, seed=5)
+    config = DecodeConfig(ctc_weight=0.4, lm_weight=0.8, beam_width=4, n_best=3)
+    for lm in (None, CharLMScorer(trained_char_lm)):
+        for hyp in decode(mat, lm, None, config).hypotheses:
+            assert hyp.att_score == 0.0 and hyp.att_state is None
+            if lm is None:
+                assert hyp.lm_score == 0.0 and hyp.lm_state is None
+            assert hyp.joint == combine_scores(hyp.ctc_score, hyp.att_score, hyp.lm_score, config)
+
+
+# ----------------------------------------------------------------------
+# batched search against the per-candidate reference loop
+# ----------------------------------------------------------------------
+
+
+class _Free:
+    """Scores every label zero: what the reference puts in an empty slot."""
+
+    def initial_state(self):
+        return None
+
+    def score(self, state, label):
+        return 0.0, None
+
+    def final(self, state):
+        return 0.0
+
+    def future_score_bound(self, state):
+        return 0.0
+
+
+def reference_decode(posteriors, lm, att, config):
+    """The beam search as one scorer call and one sort entry per
+    (hypothesis, label) candidate, ranked by (-joint, labels).
+
+    Returns (complete, [(labels, ctc, att, lm, joint, CTC log prefix), ...]).
+    """
+    lm = lm if lm is not None else _Free()
+    att = att if att is not None else _Free()
+    scorer = CtcPrefixScorer(posteriors)
+    labels = sorted(posteriors.char_labels)
+    columns = [scorer.column(label) for label in labels]
+    max_len = config.max_len if config.max_len is not None else posteriors.n_frames
+
+    def finalize(hyp):
+        labels_, ctc_state, ctc, att_score, lm_score, joint, att_state, lm_state = hyp
+        ctc = ctc_final(ctc_state)
+        att_total = att_score + att.final(att_state)
+        lm_total = lm_score + lm.final(lm_state)
+        joint = combine_scores(ctc, att_total, lm_total, config)
+        return (labels_, ctc, att_total, lm_total, joint, ctc_state.log_prefix)
+
+    def bound(hyp):
+        _, _, ctc, att_score, lm_score, _, att_state, lm_state = hyp
+        return combine_scores(
+            ctc,
+            att_score + att.future_score_bound(att_state),
+            lm_score + lm.future_score_bound(lm_state),
+            config,
+        )
+
+    def rank(entry):
+        return (-entry[4], entry[0])
+
+    beam = [
+        ((), scorer.initial_state(), 0.0, 0.0, 0.0, 0.0, att.initial_state(), lm.initial_state())
+    ]
+    complete = []
+    for step in range(max_len + 1):
+        complete.extend(finalize(hyp) for hyp in beam)
+        complete.sort(key=rank)
+        del complete[config.n_best :]
+        if step == max_len or not beam:
+            break
+        ctc_scores = scorer.candidate_scores([hyp[1] for hyp in beam], columns)
+        candidates = []
+        for j, hyp in enumerate(beam):
+            for i, label in enumerate(labels):
+                try:
+                    lm_step, lm_state = lm.score(hyp[7], label)
+                except EmptyWordError:
+                    continue
+                att_step, att_state = att.score(hyp[6], label)
+                ctc = float(ctc_scores[j, i])
+                att_total = hyp[3] + att_step
+                lm_total = hyp[4] + lm_step
+                joint = combine_scores(ctc, att_total, lm_total, config)
+                candidates.append(
+                    (hyp[0] + (label,), j, i, ctc, att_total, lm_total, joint, att_state, lm_state)
+                )
+        candidates.sort(key=lambda cand: (-cand[6], cand[0]))
+        del candidates[config.beam_width :]
+        states = scorer.extended_states([(beam[c[1]][1], columns[c[2]]) for c in candidates])
+        beam = [(c[0], state, *c[3:]) for c, state in zip(candidates, states)]
+        if len(complete) == config.n_best and all(bound(h) < complete[-1][4] for h in beam):
+            break
+    if complete:
+        return True, complete
+    fallback = sorted(((*h[:1], *h[2:6], h[1].log_prefix) for h in beam), key=rank)
+    return False, fallback[: config.n_best]
+
+
+def _bits(result):
+    return result.complete, [
+        (h.labels, *(x.hex() for x in (h.ctc_score, h.att_score, h.lm_score, h.joint)))
+        + (h.ctc_state.log_prefix.hex(),)
+        for h in result.hypotheses
+    ]
+
+
+def _reference_bits(reference):
+    complete, entries = reference
+    return complete, [(e[0], *(x.hex() for x in e[1:])) for e in entries]
+
+
+def test_decode_matches_per_candidate_reference(
+    tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm
+):
+    """Batched scoring and lexsort selection reproduce the per-candidate
+    loop bit for bit: labels, every score, order and the complete flag.
+
+    Instances come in three kinds: dense rows; "a" and "c" columns equal,
+    so spellings that differ only in them tie exactly; and rows with
+    zeros, so many candidates score -inf and tie across parents whose own
+    scores differ."""
+    rng = np.random.default_rng(59)
+    grid = scorer_grid(tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm)
+    grid.append((LookAheadScorer(trained_word_lm, tiny_vocab, oov_scale=2.0), None))
+    grid.append(
+        (
+            MultiLevelScorer(trained_char_lm, trained_word_lm, tiny_vocab),
+            CharLMScorer(uniform_char_lm),
+        )
+    )
+    configs = [
+        DecodeConfig(ctc_weight=0.3, lm_weight=0.7, beam_width=4, n_best=3),
+        DecodeConfig(ctc_weight=0.6, lm_weight=0.7, beam_width=1),
+        DecodeConfig(ctc_weight=0.0, lm_weight=0.0, beam_width=3, n_best=2),
+        DecodeConfig(ctc_weight=1.0, lm_weight=0.5, beam_width=5, n_best=4, max_len=4),
+    ]
+    alphabets = [("a", "c", SPACE, BLANK), ("a", "c", "t", SPACE, BLANK)]
+    checked = 0
+    for kind in ("dense", "tied", "zeros") * 3:
+        labels = alphabets[int(rng.integers(0, 2))]
+        probs = rng.dirichlet(np.ones(len(labels)), size=int(rng.integers(2, 8)))
+        if kind == "tied":
+            probs[:, 1] = probs[:, 0]
+        if kind == "zeros":
+            probs[:, :-1][rng.random((len(probs), len(labels) - 1)) < 0.5] = 0.0
+        mat = PosteriorMatrix(labels, probs / probs.sum(axis=1, keepdims=True))
+        for lm, att in grid:
+            for config in configs:
+                got = decode(mat, lm, att, config)
+                assert _bits(got) == _reference_bits(reference_decode(mat, lm, att, config))
+                checked += 1
+    assert checked == 9 * len(grid) * len(configs)
+
+
+def test_exact_ties_break_on_labels():
+    """Two identical posterior columns tie every pair of spellings that
+    differ only in them; the search keeps the lexicographically first."""
+    probs = np.array([[0.3, 0.3, 0.1, 0.3]] * 4)
+    mat = PosteriorMatrix(("a", "c", SPACE, BLANK), probs)
+    config = DecodeConfig(ctc_weight=1.0, lm_weight=0.0, beam_width=3, n_best=6, max_len=2)
+    result = decode(mat, None, None, config)
+    assert _bits(result) == _reference_bits(reference_decode(mat, None, None, config))
+    ranked = [(-h.joint, h.labels) for h in result.hypotheses]
+    assert ranked == sorted(ranked)
+    assert any(a[0] == b[0] for a, b in zip(ranked, ranked[1:]))

@@ -27,12 +27,12 @@ from beamfuse import (
     LookAheadScorer,
     MultiLevelScorer,
     NGramModel,
-    NullScorer,
     PrefixTree,
     Vocabulary,
     lookahead_prob,
     train_ngram,
 )
+from beamfuse.fusion import LookAheadState
 
 LOG7 = math.log(1 / 7)
 LOG5 = math.log(1 / 5)
@@ -86,15 +86,6 @@ def test_char_scorer_rejects_unknown_label(uniform_char_lm):
     scorer = CharLMScorer(uniform_char_lm)
     with pytest.raises(ValueError, match="unknown label"):
         scorer.score(scorer.initial_state(), "z")
-
-
-def test_null_scorer_is_free():
-    scorer = NullScorer()
-    state = scorer.initial_state()
-    assert scorer.score(state, "anything") == (0.0, None)
-    assert scorer.final(state) == 0.0
-    assert scorer.future_score_bound(state) == 0.0
-    assert scorer.labels is None
 
 
 # ----------------------------------------------------------------------
@@ -324,3 +315,164 @@ def test_word_model_vocabulary_mismatch_rejected(uniform_char_lm, uniform_word_l
 def test_scorer_label_inventories(ml, la, uniform_char_lm, tiny_vocab):
     assert ml.labels == frozenset(uniform_char_lm.tokens)
     assert la.labels == frozenset(tiny_vocab.label_set)
+
+
+# ----------------------------------------------------------------------
+# batched scoring: score_all against the per-label rule
+# ----------------------------------------------------------------------
+
+
+def reference_score(scorer, state, label):
+    """The per-label scoring rule each scorer applied before batching.
+
+    Returns (log score, child state fields), or None where the label would
+    close an empty word.
+    """
+    if isinstance(scorer, CharLMScorer):
+        token = scorer.model.token_ids[label]
+        keep = scorer.model.order - 1
+        context = (state.context + (token,))[-keep:] if keep else ()
+        return math.log(scorer.model.prob(token, state.context)), (context,)
+    if isinstance(scorer, MultiLevelScorer):
+        return _reference_multilevel(scorer, state, label)
+    return _reference_lookahead(scorer, state, label)
+
+
+def _clip(history, model):
+    keep = model.order - 1
+    return history[-keep:] if keep else ()
+
+
+def _reference_multilevel(scorer, state, label):
+    token = scorer.char_model.token_ids[label]
+    keep = scorer.char_model.order - 1
+    char_context = (state.char_context + (token,))[-keep:] if keep else ()
+    if label in (SPACE, EOS):
+        if not state.pending:
+            return None
+        word_id = scorer.vocab.lookup("".join(state.pending))
+        logp = math.log(scorer.word_model.prob(word_id, state.word_history))
+        if word_id == scorer.vocab.unk_id:
+            logp += math.log(scorer.oov_scale)
+        else:
+            logp -= state.pending_logp
+        history = _clip(state.word_history + (word_id,), scorer.word_model)
+        return logp, (char_context, history, (), 0.0)
+    logp = math.log(scorer.char_model.prob(token, state.char_context))
+    pending = state.pending + (label,)
+    return logp, (char_context, state.word_history, pending, state.pending_logp + logp)
+
+
+def _reference_lookahead(scorer, state, label):
+    tree, model, vocab = scorer.tree, scorer.word_model, scorer.vocab
+
+    def oov_charge(history):
+        return math.log(model.prob(vocab.unk_id, history)) + math.log(scorer.oov_scale)
+
+    unk = oov_charge(state.word_history)
+    if label in (SPACE, EOS):
+        if state.node == tree.ROOT:
+            return None
+        if state.node is None:
+            logp, word_id = 0.0, vocab.unk_id
+        elif tree.word_end(state.node) is None:
+            logp, word_id = unk, vocab.unk_id
+        else:
+            word_id = tree.word_end(state.node)
+            logp = math.log(model.prob(word_id, state.word_history)) - state.node_log_mass
+        history = _clip(state.word_history + (word_id,), model)
+        sums = model.cumulative_distribution(history)
+        mass = math.log(lookahead_prob(tree, tree.ROOT, sums))
+        return logp, (tree.ROOT, mass, history, oov_charge(history))
+    if state.node is None:
+        return 0.0, (None, 0.0, state.word_history, unk)
+    child = tree.descend(state.node, label)
+    if child is None:
+        return unk, (None, 0.0, state.word_history, unk)
+    mass = math.log(lookahead_prob(tree, child, state.sums))
+    return mass - state.node_log_mass, (child, mass, state.word_history, unk)
+
+
+def _fields(state):
+    if isinstance(state, LookAheadState):
+        return (state.node, state.node_log_mass, state.word_history, state.unk_logp)
+    return tuple(getattr(state, name) for name in state.__slots__)
+
+
+def _reachable_states(scorer):
+    """Root, in-word, word-end, off-tree, OOV-closed and post-boundary states."""
+    spellings = ["", "c", "ca", "cat", "a", "ea", "e", "ec", "ecc", "ta"]
+    states = []
+    if isinstance(scorer, CharLMScorer):
+        histories = [(), ("a", SPACE), ("t",)]
+    else:
+        histories = [(), (0,), (3,)]  # no word, "a", <UNK>
+    for history in histories:
+        for spelling in spellings:
+            state = scorer.initial_state(history)
+            for label in spelling:
+                state = scorer.score(state, label)[1]
+            states.append(state)
+            if spelling:
+                closed = scorer.score(state, SPACE)[1]
+                states.extend([closed, scorer.score(closed, "c")[1]])
+    return states
+
+
+def _scorer_grid(uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, vocab):
+    return [
+        CharLMScorer(uniform_char_lm),
+        CharLMScorer(trained_char_lm),
+        MultiLevelScorer(trained_char_lm, trained_word_lm, vocab),
+        MultiLevelScorer(uniform_char_lm, trained_word_lm, vocab, oov_scale=0.5),
+        LookAheadScorer(trained_word_lm, vocab),
+        LookAheadScorer(uniform_word_lm, vocab, oov_scale=0.5),
+    ]
+
+
+def test_score_all_is_bitwise_the_per_label_rule(
+    uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+):
+    """Every entry of score_all is the float score returns and the old
+    per-label rule computes; NaN sits exactly where score raises
+    EmptyWordError, and advance builds the rule's child state."""
+    labels = list(tiny_vocab.label_set)  # every letter, <space> and <eos>
+    grid = _scorer_grid(
+        uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+    )
+    kinds = set()
+    for scorer in grid:
+        states = _reachable_states(scorer)
+        batch = scorer.score_all(states, labels)
+        assert batch.shape == (len(states), len(labels))
+        # a shuffled sub-batch gives the same rows
+        picked = [7, 0, 3]
+        assert np.array_equal(
+            scorer.score_all([states[j] for j in picked], labels), batch[picked], equal_nan=True
+        )
+        for j, state in enumerate(states):
+            if isinstance(state, LookAheadState):
+                kinds.add("root" if state.node == 0 else "off" if state.node is None else "in")
+            for i, label in enumerate(labels):
+                want = reference_score(scorer, state, label)
+                if want is None:
+                    assert math.isnan(batch[j, i])
+                    with pytest.raises(EmptyWordError):
+                        scorer.score(state, label)
+                    continue
+                logp, child = scorer.score(state, label)
+                assert batch[j, i].hex() == logp.hex() == want[0].hex()
+                assert _fields(child) == want[1]
+                assert _fields(scorer.advance(state, label)) == want[1]
+    assert kinds == {"root", "in", "off"}
+
+
+def test_score_all_rejects_unknown_labels(
+    uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+):
+    grid = _scorer_grid(
+        uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+    )
+    for scorer in grid:
+        with pytest.raises(ValueError, match="unknown label 'z'"):
+            scorer.score_all([scorer.initial_state()], ["a", "z"])

@@ -13,6 +13,7 @@ Bigram after "a": only "cat" follows, n = 1, t = 1, so
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -176,4 +177,42 @@ def test_load_rejects_foreign_payload(tmp_path):
     path = tmp_path / "bad.lm"
     path.write_bytes(b"not a model")
     with pytest.raises(ValueError, match="not a language-model file"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "counts, problem",
+    [
+        ([{(): {0: -5, 1: 1}}, {}], "not an int > 0"),  # prob(1, ()) would be -1.0
+        ([{(): {0: 0, 1: 1}}, {}], "not an int > 0"),
+        ([{(): {0: 1.5}}, {}], "not an int > 0"),
+        ([{(): {0: True}}, {}], "not an int > 0"),
+        ([{(): {}}, {}], "holds no count"),
+        ([{(): {0: 1}}, {(0,): {7: 1}}], "outside the inventory"),
+        ([{(): {0: 1}}, {(9,): {1: 1}}], "outside the inventory"),
+        ([{(): {-1: 1}}, {}], "outside the inventory"),
+        ([{(): {0: 1}}, {(0,): {"b": 1}}], "outside the inventory"),
+        ([{(): {0: 1}}, {(0, 1): {1: 1}}], "length is not 1"),
+        ([{(0,): {0: 1}}, {}], "length is not 0"),
+    ],
+)
+def test_malformed_count_tables_are_rejected(counts, problem):
+    with pytest.raises(ValueError, match=problem):
+        NGramModel(2, "word", ["a", "b"], counts=counts)
+
+
+def test_load_rejects_out_of_inventory_counts(tmp_path):
+    """A model file naming a token the inventory lacks fails at load, not
+    with an IndexError from the first cumulative distribution."""
+    path = tmp_path / "model.lm"
+    payload = {
+        "format": "beamfuse-ngram",
+        "version": 1,
+        "order": 2,
+        "level": "word",
+        "tokens": ["a", "b"],
+        "counts": [{(): {0: 1, 1: 1}}, {(0,): {7: 1}}],
+    }
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(ValueError, match="malformed language-model file"):
         load_model(path)

@@ -96,3 +96,4 @@ def test_dump_lines_format(tiny_vocab):
     assert "a\t0\t0\t0" in lines
     assert "cat\t1\t1\t1" in lines
     assert "ca\t1\t1\t-" in lines
+
