@@ -151,8 +151,7 @@ class _Search:
         joint = combine_scores(ctc, att, lm, self.config)
         # NaN marks a label a scorer cannot take: the end of an empty word.
         parents, cols = np.nonzero(~np.isnan(att + lm))
-        rank = np.empty(len(beam), dtype=np.intp)
-        rank[sorted(range(len(beam)), key=lambda j: beam[j].labels)] = np.arange(len(beam))
+        rank = np.argsort(sorted(range(len(beam)), key=lambda j: beam[j].labels))
         keep = np.lexsort((cols, rank[parents], -joint[parents, cols]))[:width]
         parents, cols = parents[keep], cols[keep]
         scores = [x[parents, cols].tolist() for x in (ctc, att, lm, joint)]

@@ -264,11 +264,10 @@ class LookAheadScorer(_FusionScorer):
         # -1) and word-end columns gather entries that are never read.
         children = tree.child[[-1 if s.node is None else s.node for s in states]][:, columns]
         upper, lower = tree.hi[children] + 1, tree.lo[children]
-        closes = -1 in columns
         rows = []
         for state, kids, up, low in zip(states, children.tolist(), upper, lower):
             empty = state.node == PrefixTree.ROOT
-            end = math.nan if empty else closes and self._close_word(state)[0]
+            end = math.nan if empty else -1 in columns and self._close_word(state)[0]
             if state.node is None:
                 rows.append([end if column < 0 else 0.0 for column in columns])
                 continue

@@ -26,31 +26,35 @@ class PrefixTree:
 
     @classmethod
     def build(cls, vocab: Vocabulary) -> "PrefixTree":
-        if not vocab.words:
+        words = vocab.words
+        if not words:
             raise ValueError("vocabulary has no spelled words")
-        labels = sorted({ch for word in vocab.words for ch in word})
-        columns = {label: k for k, label in enumerate(labels)}
-        lo, hi, word_id, out, edges = [0], [0], [-1], [{}], []
-        for wid, word in enumerate(vocab.words):
-            # Words arrive in ascending ID order, so the first word through
-            # a node fixes its lo and the latest its hi.
-            node = cls.ROOT
-            hi[node] = wid
-            for ch in word:
-                child = out[node].get(ch)
-                if child is None:
-                    child = out[node][ch] = len(lo)
-                    edges.append((node, columns[ch]))
-                    lo.append(wid)
-                    word_id.append(-1)
-                    hi.append(wid)
-                    out.append({})
-                hi[child] = wid
-                node = child
-            word_id[node] = wid
-        child = np.full((len(lo), len(labels)), -1, dtype=np.int32)
-        child[tuple(zip(*edges))] = np.arange(1, len(lo))
-        return cls(labels, np.array(lo), np.array(hi), np.array(word_id), child)
+        # One zero-padded row of code points per word.  Words are sorted, so
+        # the words below a depth-d node are one run of rows, and a row opens
+        # a depth-d node when it is at least d long and shares fewer than d
+        # leading characters with the row before (the first row shares -1).
+        codes = np.array(words).view(np.uint32).reshape(len(words), -1)
+        lens = np.array([len(word) for word in words])
+        # The extra column ends each comparison: a NUL equals the padding.
+        same = np.c_[codes[1:] == codes[:-1], np.zeros(len(words) - 1, dtype=bool)]
+        lcp = np.append(-1, np.minimum(same.argmin(1), lens[:-1]))
+        alphabet = np.unique(codes[np.arange(codes.shape[1]) < lens[:, None]])
+        parts, owner, size = [], np.zeros(len(words), dtype=np.intp), 0
+        for depth in range(codes.shape[1] + 1):
+            cut = lcp < depth
+            opens = cut & (lens >= depth)
+            starts = np.flatnonzero(opens)
+            ends = np.append(np.flatnonzero(cut), len(words))
+            hi = ends[np.searchsorted(ends, starts, side="right")] - 1
+            word_id = np.where(lens[starts] == depth, starts, -1)
+            label = np.searchsorted(alphabet, codes[starts, depth - 1])  # unused at depth 0
+            parts.append((starts, hi, word_id, owner[starts], label))
+            owner = size - 1 + np.cumsum(opens)  # each word's node at this depth
+            size += len(starts)
+        lo, hi, word_id, parent, label = (np.concatenate(part) for part in zip(*parts))
+        child = np.full((size, len(alphabet)), -1, dtype=np.int32)
+        child[parent[1:], label[1:]] = np.arange(1, size)
+        return cls([chr(c) for c in alphabet], lo, hi, word_id, child)
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -74,9 +78,7 @@ class PrefixTree:
 
     def children(self, node: int) -> dict[str, int]:
         """Label-to-child map of *node*, in label order."""
-        return {
-            label: int(child) for label, child in zip(self.labels, self.child[node]) if child >= 0
-        }
+        return {k: c for k, c in zip(self.labels, self.child[node].tolist()) if c >= 0}
 
     def dump_lines(self) -> list[str]:
         """One line per node: path, interval bounds, and word end or ``-``."""

@@ -63,24 +63,29 @@ def test_descend_absorbs_none_and_misses():
 def test_intervals_match_startswith_enumeration():
     """Node intervals are exactly the IDs of words extending the path."""
     rng = np.random.default_rng(11)
-    alphabet = list("abcd")
-    for _ in range(30):
+    # NUL matches the padding of shorter spellings in the tree's build;
+    # indices, not rng.choice, because numpy strings drop trailing NULs.
+    for alphabet in (list("abcd"), ["a", "\x00", "é"]) * 15:
         n = int(rng.integers(1, 25))
-        words = sorted(
-            {"".join(rng.choice(alphabet, size=rng.integers(1, 6))) for _ in range(n)}
-        )
+        words = {
+            "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=rng.integers(1, 6)))
+            for _ in range(n)
+        }
         vocab = Vocabulary.from_words(words)
         tree = PrefixTree.build(vocab)
 
         stack = [(tree.ROOT, "")]
+        spelled = set()
         while stack:
             node, path = stack.pop()
             ids = [i for i, w in enumerate(vocab.words) if w.startswith(path)]
             assert tree.interval(node) == (min(ids), max(ids))
             expected_end = vocab.word_ids.get(path)
             assert tree.word_end(node) == expected_end
+            spelled.add(path)
             for label, child in tree.children(node).items():
                 stack.append((child, path + label))
+        assert spelled == {w[:end] for w in vocab.words for end in range(len(w) + 1)}
 
 
 def test_len_counts_nodes():
