@@ -16,8 +16,6 @@ from .ctc import (
     ctc_brute_force,
     ctc_brute_force_full,
     ctc_final,
-    ctc_init,
-    ctc_prefix_score,
     greedy_decode,
 )
 from .decoder import (
@@ -90,9 +88,7 @@ __all__ = [
     "ctc_brute_force",
     "ctc_brute_force_full",
     "ctc_final",
-    "ctc_init",
     "ctc_labels",
-    "ctc_prefix_score",
     "cumulative_sums",
     "decode",
     "edit_distance",

@@ -31,6 +31,16 @@ NEG_INF = float("-inf")
 _ENUM_LIMIT = 10_000_000
 
 
+class BadFrameError(ValueError):
+    """The earliest row that is not a distribution: *fault* is ``"non-finite"``,
+    ``"negative"`` or ``"sum"``, and *total* is the row's sum."""
+
+    def __init__(self, frame: int, fault: str, total: float):
+        what = f"sums to {total:.8f}, expected 1" if fault == "sum" else f"has a {fault} entry"
+        super().__init__(f"frame {frame} {what}")
+        self.frame, self.fault, self.total = frame, fault, total
+
+
 @dataclass(frozen=True)
 class PosteriorMatrix:
     """Frame posteriors: one row per frame over ``labels`` (incl. ``<blank>``)."""
@@ -51,15 +61,13 @@ class PosteriorMatrix:
             raise ValueError("posterior matrix shape does not match labels")
         if probs.shape[0] < 1:
             raise ValueError("posterior matrix has no frames")
-        finite = np.isfinite(probs).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"frame {np.argmin(finite)} has a non-finite entry")
-        if (probs < 0.0).any():
-            raise ValueError("negative posterior entry")
-        sums = probs.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > 1e-6)[0]
-        if bad.size:
-            raise ValueError(f"frame {bad[0]} sums to {sums[bad[0]]:.8f}, expected 1")
+        finite, negative = np.isfinite(probs).all(axis=1), (probs < 0.0).any(axis=1)
+        sums = probs.sum(axis=1, where=np.isfinite(probs))
+        bad = ~finite | negative | (np.abs(sums - 1.0) > 1e-6)
+        if bad.any():
+            t = int(np.argmax(bad))
+            fault = "non-finite" if not finite[t] else "negative" if negative[t] else "sum"
+            raise BadFrameError(t, fault, float(sums[t]))
 
     @property
     def n_frames(self) -> int:
@@ -79,7 +87,6 @@ class PosteriorMatrix:
 class CtcState:
     """Per-hypothesis forward vectors plus the accumulated prefix score."""
 
-    scorer: "CtcPrefixScorer"
     nonblank: np.ndarray
     blank: np.ndarray
     last_column: int  # posterior column of the last label; -1 for the empty prefix
@@ -125,7 +132,7 @@ class CtcPrefixScorer:
     def initial_state(self) -> CtcState:
         blank = np.cumsum(self._log_blank)
         nonblank = np.full(self._frames, NEG_INF)
-        return CtcState(self, nonblank, blank, -1, 0.0, 0)
+        return CtcState(nonblank, blank, -1, 0.0, 0)
 
     def column(self, label: str) -> int:
         col = self._columns.get(label)
@@ -186,7 +193,7 @@ class CtcPrefixScorer:
         # One buffer per state, so a kept state holds no other state's vectors.
         pairs = [pair.copy() for pair in forward.transpose(2, 0, 1)]
         return [
-            CtcState(self, pair[0], pair[1], col, score, state.length + 1)
+            CtcState(pair[0], pair[1], col, score, state.length + 1)
             for pair, col, score, state in zip(pairs, columns, log_prefix, states)
         ]
 
@@ -209,18 +216,6 @@ def _log_linear_scan(out: np.ndarray, start, gain: np.ndarray, drive: np.ndarray
     out += sums
 
 
-def ctc_init(posteriors: PosteriorMatrix) -> CtcState:
-    """State for the empty prefix; its prefix probability is one."""
-    return CtcPrefixScorer(posteriors).initial_state()
-
-
-def ctc_prefix_score(state: CtcState, label: str) -> tuple[float, CtcState]:
-    """Log prefix probability of the extended hypothesis, plus its state."""
-    scorer = state.scorer
-    new = scorer.extended_states([(state, scorer.column(label))])[0]
-    return new.log_prefix, new
-
-
 def ctc_final(state: CtcState) -> float:
     """Log probability that the collapsed output equals the prefix exactly."""
     return float(np.logaddexp(state.nonblank[-1], state.blank[-1]))
@@ -236,17 +231,17 @@ def _collapse(path: Sequence[int], blank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_paths(matrix: PosteriorMatrix):
+def _collapsed_paths(matrix: PosteriorMatrix):
     frames = matrix.n_frames
     width = len(matrix.labels)
     if width**frames > _ENUM_LIMIT:
         raise ValueError("posterior matrix too large to enumerate")
-    probs = matrix.probs
+    probs, blank = matrix.probs, matrix.blank_index
     for path in itertools.product(range(width), repeat=frames):
         p = 1.0
         for t, col in enumerate(path):
             p *= probs[t, col]
-        yield path, p
+        yield _collapse(path, blank), p
 
 
 def _prefix_columns(matrix: PosteriorMatrix, prefix: Sequence[str]) -> tuple[int, ...]:
@@ -264,10 +259,9 @@ def _prefix_columns(matrix: PosteriorMatrix, prefix: Sequence[str]) -> tuple[int
 def ctc_brute_force(posteriors: PosteriorMatrix, prefix: Sequence[str]) -> float:
     """Prefix probability by full path enumeration; oracle for the recursion."""
     target = _prefix_columns(posteriors, prefix)
-    blank = posteriors.blank_index
     total = 0.0
-    for path, p in _enumerate_paths(posteriors):
-        if _collapse(path, blank)[: len(target)] == target:
+    for collapsed, p in _collapsed_paths(posteriors):
+        if collapsed[: len(target)] == target:
             total += p
     return total
 
@@ -275,10 +269,9 @@ def ctc_brute_force(posteriors: PosteriorMatrix, prefix: Sequence[str]) -> float
 def ctc_brute_force_full(posteriors: PosteriorMatrix, labels: Sequence[str]) -> float:
     """Probability that the collapsed output equals *labels* exactly."""
     target = _prefix_columns(posteriors, labels)
-    blank = posteriors.blank_index
     total = 0.0
-    for path, p in _enumerate_paths(posteriors):
-        if _collapse(path, blank) == target:
+    for collapsed, p in _collapsed_paths(posteriors):
+        if collapsed == target:
             total += p
     return total
 

@@ -38,10 +38,6 @@ def lookahead_prob(tree: PrefixTree, node: int, sums: np.ndarray) -> float:
     return float(sums[hi + 1] - sums[lo])
 
 
-def _logs(values: np.ndarray) -> list[float]:
-    return [math.log(value) for value in values.tolist()]
-
-
 def _token_ids(ids: dict[str, int], labels: Sequence[str]) -> list[int]:
     try:
         return [ids[label] for label in labels]
@@ -90,14 +86,14 @@ class CharLMScorer(_FusionScorer):
 
     def score_all(self, states: Sequence[CharState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
-        return np.array([_logs(self.model.full_distribution(s.context)[tokens]) for s in states])
+        return np.array([self.model.log_rows(s.context) for s in states])[:, tokens]
 
     def advance(self, state: CharState, label: str) -> CharState:
         context = state.context + (self._ids[label],)
         return CharState(context[-self._keep :] if self._keep else ())
 
     def final(self, state: CharState) -> float:
-        return math.log(self.model.prob(self._eos, state.context))
+        return self.model.log_rows(state.context)[self._eos].item()
 
     def future_score_bound(self, state: CharState) -> float:
         """Upper bound on log mass any completion can still add (here zero)."""
@@ -156,10 +152,9 @@ class MultiLevelScorer(_FusionScorer):
     def score_all(self, states: Sequence[MultiLevelState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
         ends = [i for i, label in enumerate(labels) if label in WORD_END_LABELS]
-        out = np.empty((len(states), len(labels)))
-        for row, state in zip(out, states):
-            row[:] = _logs(self.char_model.full_distribution(state.char_context)[tokens])
-            if ends:
+        out = np.array([self.char_model.log_rows(s.char_context) for s in states])[:, tokens]
+        if ends:
+            for row, state in zip(out, states):
                 row[ends] = self._close_word(state)[0] if state.pending else math.nan
         return out
 
@@ -172,7 +167,7 @@ class MultiLevelScorer(_FusionScorer):
             word_id = self.vocab.lookup("".join(state.pending))
             history = self._clip(state.word_history + (word_id,))
             return MultiLevelState(char_context, history, (), 0.0)
-        logp = math.log(self.char_model.prob(token, state.char_context))
+        logp = self.char_model.log_rows(state.char_context)[token].item()
         return MultiLevelState(
             char_context, state.word_history, state.pending + (label,), state.pending_logp + logp
         )
@@ -188,11 +183,12 @@ class MultiLevelScorer(_FusionScorer):
         return total + math.log(self.word_model.prob(self.vocab.eos_id, history))
 
     def future_score_bound(self, state: MultiLevelState) -> float:
-        # Closing the pending word can recover at most its accumulated
-        # character mass; with oov_scale <= 1 every later factor is <= 1.
-        if self.oov_scale <= 1.0:
-            return -state.pending_logp
-        return math.inf
+        # Closing the pending word recovers at most its character mass, and
+        # none if no vocabulary word continues its spelling (it closes as
+        # <UNK>).  With oov_scale <= 1 every later factor is <= 1.
+        if self.oov_scale > 1.0:
+            return math.inf
+        return -state.pending_logp if self.vocab.has_prefix("".join(state.pending)) else 0.0
 
     def _close_word(self, state: MultiLevelState) -> tuple[float, int]:
         word_id = self.vocab.lookup("".join(state.pending))

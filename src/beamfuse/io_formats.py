@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ctc import PosteriorMatrix
+from .ctc import BadFrameError, PosteriorMatrix
 from .decoder import DecodeResult
 from .vocab import BLANK, EOS, Vocabulary, to_char_labels
 
@@ -43,6 +42,7 @@ def save_posteriors(matrix: PosteriorMatrix, path: str | Path) -> None:
 def load_posteriors(
     path: str | Path, expected_labels: Sequence[str] | None = None
 ) -> PosteriorMatrix:
+    """Parse the file; ``PosteriorMatrix``'s earliest bad frame becomes ``path:line``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise PosteriorFormatError(f"{path}:1: empty posterior file")
@@ -64,20 +64,18 @@ def load_posteriors(
                 f"{path}:{number}: expected {len(labels)} fields, got {len(fields)}"
             )
         try:
-            row = [float(field) for field in fields]
+            rows.append([float(field) for field in fields])
         except ValueError:
             raise PosteriorFormatError(f"{path}:{number}: non-numeric probability") from None
-        if not all(math.isfinite(value) for value in row):
-            raise PosteriorFormatError(f"{path}:{number}: non-finite probability")
-        if any(value < 0.0 for value in row):
-            raise PosteriorFormatError(f"{path}:{number}: negative probability")
-        total = sum(row)
-        if abs(total - 1.0) > 1e-6:
-            raise PosteriorFormatError(f"{path}:{number}: row sums to {total:.8f}, expected 1")
-        rows.append(row)
     if not rows:
         raise PosteriorFormatError(f"{path}:1: posterior file has no frame rows")
-    return PosteriorMatrix(labels, np.array(rows))
+    try:
+        return PosteriorMatrix(labels, np.array(rows))
+    except BadFrameError as exc:
+        what = f"{exc.fault} probability"
+        if exc.fault == "sum":
+            what = f"row sums to {exc.total:.8f}, expected 1"
+        raise PosteriorFormatError(f"{path}:{exc.frame + 2}: {what}") from None
 
 
 def synth_posteriors(

@@ -1,18 +1,19 @@
 """Witten-Bell interpolated n-gram language models over words or characters.
 
-Models answer the three queries fused decoding needs: the probability of one
+Models answer the queries fused decoding needs: the probability of one
 token after a context, the full next-token distribution for a context, and
-cached cumulative sums of that distribution (the form the prefix-tree
-look-ahead reads interval masses from).  Probabilities at context length m
-interpolate the maximum-likelihood estimate with the next-shorter context
-using weights n/(n+t), where n counts tokens observed after the context and
-t counts distinct continuation types; the recursion bottoms out in a uniform
-distribution over the token inventory, which keeps every probability
-strictly positive and every distribution normalized.
+two cached forms of it, cumulative sums (read by the prefix-tree look-ahead)
+and natural logs (read by character fusion).  Probabilities at context
+length m interpolate the maximum-likelihood estimate with the next-shorter
+context using weights n/(n+t), where n counts tokens observed after the
+context and t counts distinct continuation types; the recursion bottoms out
+in a uniform distribution over the token inventory, which keeps every
+probability strictly positive and every distribution normalized.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 from functools import lru_cache
 from itertools import chain
@@ -86,6 +87,7 @@ class NGramModel:
         ]
         self._unigram = self._build_unigram()
         self.cumsums = lru_cache(maxsize=cumsum_cache_size)(self._cumsums_uncached)
+        self.log_rows = lru_cache(maxsize=cumsum_cache_size)(self._log_row_uncached)
 
     # ------------------------------------------------------------------
     # queries
@@ -128,6 +130,13 @@ class NGramModel:
 
     def _cumsums_uncached(self, context: tuple[int, ...]) -> np.ndarray:
         return cumulative_sums(self.full_distribution(context))
+
+    def _log_row_uncached(self, context: tuple[int, ...]) -> np.ndarray:
+        # Bitwise math.log(self.prob(token, context)) (np.log can differ in the
+        # last bit).  As wide as the inventory, so word fusion does not use it.
+        row = np.array([math.log(p) for p in self.full_distribution(context).tolist()])
+        row.flags.writeable = False
+        return row
 
     def _truncate(self, context: Sequence[int]) -> tuple[int, ...]:
         keep = self.order - 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,11 @@ class Vocabulary:
     def lookup(self, word: str) -> int:
         """ID of *word*, or ``unk_id`` when it is not in the vocabulary."""
         return self.word_ids.get(word, self.unk_id)
+
+    def has_prefix(self, prefix: str) -> bool:
+        """Whether some word's spelling starts with *prefix* (the empty one included)."""
+        i = bisect_left(self.words, prefix)
+        return i < len(self.words) and self.words[i].startswith(prefix)
 
     def spelling(self, word_id: int) -> str:
         return self.words[word_id]

@@ -21,8 +21,6 @@ from beamfuse import (
     ctc_brute_force,
     ctc_brute_force_full,
     ctc_final,
-    ctc_init,
-    ctc_prefix_score,
     greedy_decode,
 )
 
@@ -37,16 +35,22 @@ def random_matrix(rng, frames, labels):
     return PosteriorMatrix(labels, probs)
 
 
+def extend(scorer, state, label):
+    """Log prefix probability of *state* extended by *label*, and the new state."""
+    new = scorer.extended_states([(state, scorer.column(label))])[0]
+    return new.log_prefix, new
+
+
 def test_hand_checked_uniform_values():
-    mat = uniform_matrix()
-    empty = ctc_init(mat)
+    scorer = CtcPrefixScorer(uniform_matrix())
+    empty = scorer.initial_state()
     assert np.allclose(np.exp(empty.blank), [1 / 3, 1 / 9], atol=1e-12)
 
-    score_a, state_a = ctc_prefix_score(empty, "a")
+    score_a, state_a = extend(scorer, empty, "a")
     assert math.exp(score_a) == pytest.approx(4 / 9, abs=1e-12)
     assert math.exp(ctc_final(state_a)) == pytest.approx(3 / 9, abs=1e-12)
 
-    score_ab, state_ab = ctc_prefix_score(state_a, "b")
+    score_ab, state_ab = extend(scorer, state_a, "b")
     assert math.exp(score_ab) == pytest.approx(1 / 9, abs=1e-12)
     assert math.exp(ctc_final(state_ab)) == pytest.approx(1 / 9, abs=1e-12)
 
@@ -54,15 +58,15 @@ def test_hand_checked_uniform_values():
 
 
 def test_repeated_label_needs_intervening_blank():
-    mat = uniform_matrix(frames=2)
-    _, state_a = ctc_prefix_score(ctc_init(mat), "a")
-    score_aa, _ = ctc_prefix_score(state_a, "a")
+    scorer = CtcPrefixScorer(uniform_matrix(frames=2))
+    _, state_a = extend(scorer, scorer.initial_state(), "a")
+    score_aa, _ = extend(scorer, state_a, "a")
     assert score_aa == float("-inf")
 
     # with three frames the path a-a emits (a, a)
-    mat3 = uniform_matrix(frames=3)
-    _, state_a3 = ctc_prefix_score(ctc_init(mat3), "a")
-    score_aa3, state_aa3 = ctc_prefix_score(state_a3, "a")
+    scorer3 = CtcPrefixScorer(uniform_matrix(frames=3))
+    _, state_a3 = extend(scorer3, scorer3.initial_state(), "a")
+    score_aa3, state_aa3 = extend(scorer3, state_a3, "a")
     assert math.exp(score_aa3) == pytest.approx(1 / 27, abs=1e-12)
     assert math.exp(ctc_final(state_aa3)) == pytest.approx(1 / 27, abs=1e-12)
 
@@ -73,12 +77,13 @@ def test_brute_force_oracle_agrees_on_random_matrices():
     for _ in range(40):
         frames = int(rng.integers(1, 6))
         mat = random_matrix(rng, frames, labels)
-        state = ctc_init(mat)
+        scorer = CtcPrefixScorer(mat)
+        state = scorer.initial_state()
         prefix = []
         for _ in range(int(rng.integers(1, 4))):
             label = labels[int(rng.integers(0, 2))]
             prefix.append(label)
-            score, state = ctc_prefix_score(state, label)
+            score, state = extend(scorer, state, label)
             assert math.exp(score) == pytest.approx(
                 ctc_brute_force(mat, prefix), abs=1e-12
             )
@@ -96,10 +101,10 @@ def test_prefix_scores_decompose_into_full_plus_continuations():
         scorer = CtcPrefixScorer(mat)
         state = scorer.initial_state()
         for label in ("a", "b"):
-            score, extended = ctc_prefix_score(state, label)
+            score, extended = extend(scorer, state, label)
             pieces = [ctc_final(extended)]
             for nxt in ("a", "b"):
-                nxt_score, _ = ctc_prefix_score(extended, nxt)
+                nxt_score, _ = extend(scorer, extended, nxt)
                 pieces.append(nxt_score)
             total = np.logaddexp.reduce(pieces)
             assert total == pytest.approx(score, abs=1e-9)
@@ -109,11 +114,11 @@ def test_prefix_probability_is_monotone():
     rng = np.random.default_rng(29)
     labels = ("a", "b", "c", BLANK)
     for _ in range(20):
-        mat = random_matrix(rng, int(rng.integers(2, 6)), labels)
-        state = ctc_init(mat)
+        scorer = CtcPrefixScorer(random_matrix(rng, int(rng.integers(2, 6)), labels))
+        state = scorer.initial_state()
         previous = 0.0
         for label in ("a", "b", "a"):
-            score, state = ctc_prefix_score(state, label)
+            score, state = extend(scorer, state, label)
             assert score <= previous + 1e-12
             previous = score
 
@@ -126,15 +131,15 @@ def test_candidate_scores_match_single_extensions():
     columns = [scorer.column(label) for label in ("a", "b", "c")]
 
     states = [scorer.initial_state()]
-    _, s_a = ctc_prefix_score(states[0], "a")
-    _, s_ab = ctc_prefix_score(s_a, "b")
+    _, s_a = extend(scorer, states[0], "a")
+    _, s_ab = extend(scorer, s_a, "b")
     states.extend([s_a, s_ab])
 
     batch = scorer.candidate_scores(states, columns)
     assert batch.shape == (3, 3)
     for j, state in enumerate(states):
         for i, label in enumerate(("a", "b", "c")):
-            single, _ = ctc_prefix_score(state, label)
+            single, _ = extend(scorer, state, label)
             assert batch[j, i] == single
 
 
@@ -156,11 +161,11 @@ def test_matrix_validation():
 
 
 def test_cannot_extend_by_blank():
-    mat = uniform_matrix()
+    scorer = CtcPrefixScorer(uniform_matrix())
     with pytest.raises(ValueError, match="blank"):
-        ctc_prefix_score(ctc_init(mat), BLANK)
+        extend(scorer, scorer.initial_state(), BLANK)
     with pytest.raises(ValueError, match="not in the posterior"):
-        ctc_prefix_score(ctc_init(mat), "z")
+        extend(scorer, scorer.initial_state(), "z")
 
 
 def test_greedy_decode_collapses_argmax():

@@ -14,15 +14,16 @@ from beamfuse import (
     EmptyWordError,
     LookAheadScorer,
     MultiLevelScorer,
+    NGramModel,
     PosteriorMatrix,
+    Vocabulary,
     combine_scores,
     ctc_final,
-    ctc_init,
-    ctc_prefix_score,
     decode,
     exhaustive_decode,
     synth_posteriors,
     to_char_labels,
+    train_ngram,
 )
 
 LABELS = ("a", "c", "e", "s", "t", SPACE, BLANK)
@@ -117,6 +118,65 @@ def test_early_stop_does_not_change_results(trained_word_lm, tiny_vocab):
         assert pruned.hypotheses[0].joint <= full.hypotheses[0].joint + 1e-12
 
 
+class _Counted(MultiLevelScorer):
+    """Multi-level fusion that counts the beam steps it scores."""
+
+    steps = 0
+
+    def score_all(self, states, labels):
+        self.steps += 1
+        return super().score_all(states, labels)
+
+
+class _Unbounded(_Counted):
+    """The same with early stopping disabled."""
+
+    def future_score_bound(self, state):
+        return math.inf
+
+
+def test_multilevel_early_stop_is_exact():
+    """Stopping on the multi-level bound returns bit for bit the n-best of
+    the same search run to the end.  Most spellings leave the small
+    vocabulary, and the word LM strongly favours a long word that has little
+    character mass, so a partial spelling of it that trails every kept
+    hypothesis can still overtake them at its boundary."""
+    long_word = "cbcbcb"
+    vocab = Vocabulary.from_words(["a", "ab", "b", "ba", long_word])
+    words = train_ngram([[long_word]] * 20 + [["a", "b"], ["ba", "ab"]], 2, "word", vocab)
+    char_models = [
+        NGramModel.uniform(2, "char", vocab.label_set),
+        train_ngram([["a", "ab", "ba", "b", "abab", "c"]] * 5, 3, "char", vocab),
+    ]
+    labels = ("a", "b", "c", SPACE, BLANK)
+    rng = np.random.default_rng(59)
+    stopped = 0
+    for trial in range(80):
+        chars = char_models[trial % 2]
+        config = DecodeConfig(
+            ctc_weight=float(rng.uniform(0.2, 0.8)),
+            beam_width=int(rng.integers(2, 9)),
+            n_best=int(rng.integers(1, 5)),
+        )
+        if trial % 4 < 2:
+            mat = random_matrix(rng, int(rng.integers(3, 12)), labels)
+        else:
+            transcript = [str(w) for w in rng.choice(["a", "b", "ab", long_word], 2)]
+            mat = synth_posteriors(
+                transcript, labels, peak=float(rng.uniform(0.3, 0.9)), seed=trial
+            )
+        bounded, full = _Counted(chars, words, vocab), _Unbounded(chars, words, vocab)
+        got = decode(mat, bounded, None, config).hypotheses
+        want = decode(mat, full, None, config).hypotheses
+        stopped += bounded.steps < full.steps
+        assert [h.labels for h in got] == [h.labels for h in want]
+        for g, w in zip(got, want):
+            assert (g.joint, g.ctc_score, g.att_score, g.lm_score) == (
+                w.joint, w.ctc_score, w.att_score, w.lm_score,
+            )
+    assert stopped >= 20, stopped  # the bound did cut searches short
+
+
 def test_max_len_zero_returns_empty_hypothesis(uniform_char_lm):
     mat = synth_posteriors(["a"], LABELS, peak=0.9, seed=0)
     lm = CharLMScorer(uniform_char_lm)
@@ -125,7 +185,7 @@ def test_max_len_zero_returns_empty_hypothesis(uniform_char_lm):
     assert len(result.hypotheses) == 1
     hyp = result.hypotheses[0]
     assert hyp.labels == ()
-    assert hyp.ctc_score == ctc_final(ctc_init(mat))
+    assert hyp.ctc_score == ctc_final(CtcPrefixScorer(mat).initial_state())
     assert hyp.lm_score == lm.final(lm.initial_state())
 
 
@@ -158,10 +218,11 @@ def test_hypothesis_scores_replay(trained_char_lm):
     lm = CharLMScorer(trained_char_lm)
     config = DecodeConfig(ctc_weight=0.4, lm_weight=0.8, beam_width=5, n_best=3)
     result = decode(mat, lm, None, config)
+    ctc = CtcPrefixScorer(mat)
     for hyp in result.hypotheses:
-        state = ctc_init(mat)
+        state = ctc.initial_state()
         for label in hyp.labels:
-            _, state = ctc_prefix_score(state, label)
+            state = ctc.extended_states([(state, ctc.column(label))])[0]
         assert ctc_final(state) == pytest.approx(hyp.ctc_score, abs=1e-9)
 
         lm_state = lm.initial_state()

@@ -171,11 +171,22 @@ def test_multilevel_future_bound_tracks_pending_mass(ml):
     assert ml.future_score_bound(state) == pytest.approx(-2 * LOG7, abs=1e-12)
 
 
+def test_multilevel_future_bound_is_zero_off_the_vocabulary(ml):
+    # "ca" and the whole word "cat" can still close as "cat"; "ct" and
+    # "cats" can only close as <UNK>, which keeps the character mass
+    for spelling, continues in (("ca", True), ("cat", True), ("ct", False), ("cats", False)):
+        _, state = spell(ml, ml.initial_state(), spelling)
+        assert state.pending_logp == pytest.approx(len(spelling) * LOG7, abs=1e-12)
+        assert ml.future_score_bound(state) == (-state.pending_logp if continues else 0.0)
+
+
 def test_multilevel_future_bound_infinite_when_oov_amplified(
     uniform_char_lm, uniform_word_lm, tiny_vocab
 ):
     ml = MultiLevelScorer(uniform_char_lm, uniform_word_lm, tiny_vocab, oov_scale=2.0)
     assert ml.future_score_bound(ml.initial_state()) == math.inf
+    for spelling in ("ca", "ct"):  # on and off the vocabulary
+        assert ml.future_score_bound(spell(ml, ml.initial_state(), spelling)[1]) == math.inf
 
 
 def test_multilevel_trained_history_conditions_word_probability(

@@ -91,6 +91,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     assert load_posteriors(path).labels == ("z", BLANK)
 
 
+def test_earliest_bad_line_is_reported(tmp_path):
+    header = "a\t" + BLANK
+    path = _write(tmp_path, header + "\n0.5\t0.5\n0.9\t0.2\n1.5\t-0.5\nnan\t0.5\n")
+    with pytest.raises(PosteriorFormatError, match=r":3: row sums to 1.10000000"):
+        load_posteriors(path)
+    path = _write(tmp_path, header + "\n0.5\t0.5\n1.5\t-0.5\n0.9\t0.2\n")
+    with pytest.raises(PosteriorFormatError, match=r":3: negative probability"):
+        load_posteriors(path)
+
+
 def test_synth_is_deterministic():
     a = synth_posteriors(["cat"], LABELS, peak=0.8, seed=5)
     b = synth_posteriors(["cat"], LABELS, peak=0.8, seed=5)

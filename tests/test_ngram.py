@@ -12,6 +12,7 @@ Bigram after "a": only "cat" follows, n = 1, t = 1, so
     p(cat | a) = (1 + 1 * 0.225) / (1 + 1) = 0.6125
 """
 
+import itertools
 import math
 import pickle
 
@@ -103,6 +104,32 @@ def test_cumulative_distribution_is_cached(trained_word_lm, tiny_vocab):
     assert a[0] == 0.0
     assert a[-1] == pytest.approx(1.0, abs=1e-9)
     assert (np.diff(a) >= 0.0).all()
+
+
+def test_log_rows_are_bitwise_logs_of_prob(
+    trained_char_lm, uniform_char_lm, trained_word_lm, uniform_word_lm
+):
+    for model in (trained_char_lm, uniform_char_lm, trained_word_lm, uniform_word_lm):
+        ids = range(len(model.tokens))
+        contexts = [ctx for m in range(model.order) for ctx in itertools.product(ids, repeat=m)]
+        for ctx in contexts:
+            row = model.log_rows(ctx)
+            for token in ids:
+                assert float.hex(float(row[token])) == float.hex(math.log(model.prob(token, ctx)))
+
+
+def test_log_rows_are_cached_and_read_only(trained_char_lm):
+    row = trained_char_lm.log_rows((0, 1))
+    assert trained_char_lm.log_rows((0, 1)) is row
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+
+
+def test_log_row_cache_has_the_cumsum_cache_size(tiny_vocab):
+    for size in (256, 7):
+        model = NGramModel(2, "char", tiny_vocab.label_set, cumsum_cache_size=size)
+        assert model.log_rows.cache_parameters()["maxsize"] == size
+        assert model.cumsums.cache_parameters()["maxsize"] == size
 
 
 def test_uniform_model():
