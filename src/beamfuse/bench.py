@@ -17,12 +17,11 @@ BASELINE = "none"
 
 @dataclass(frozen=True)
 class BenchSystem:
-    """One timed configuration: a strategy name plus its scorers."""
+    """One timed configuration: a strategy name plus its LM scorer."""
 
     name: str
     vocab_size: int | None
     lm: object | None
-    att: object | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def run_benchmark(
         texts: list[str] | None = None
         for _ in range(repetitions):
             start = time.perf_counter()
-            decoded = [decode(matrix, system.lm, system.att, config) for matrix, _ in utterances]
+            decoded = [decode(matrix, system.lm, config=config) for matrix, _ in utterances]
             times.append(time.perf_counter() - start)
             if texts is None:
                 texts = [result.hypotheses[0].text for result in decoded]

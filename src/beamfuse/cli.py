@@ -15,7 +15,6 @@ from . import bench as bench_mod
 from .decoder import DecodeConfig, decode
 from .fusion import CharLMScorer, LookAheadScorer, MultiLevelScorer
 from .io_formats import (
-    PosteriorFormatError,
     ctc_labels,
     load_posteriors,
     save_posteriors,
@@ -24,8 +23,7 @@ from .io_formats import (
     write_nbest,
     MarkovText,
 )
-from .ngram import load_model, save_model, train_ngram
-from .trie import PrefixTree
+from .ngram import MAX_ORDER, load_model, save_model, train_ngram
 from .vocab import (
     Vocabulary,
     build_vocab,
@@ -37,7 +35,19 @@ from .vocab import (
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-STRATEGIES = ("none", "char", "multilevel", "lookahead")
+# Strategy -> (LM scorer class, or None for no LM; the inputs it takes, in
+# argument order, each named after the decode flag that supplies it).
+STRATEGIES = {
+    "none": (None, ()),
+    "char": (CharLMScorer, ("char_lm",)),
+    "multilevel": (MultiLevelScorer, ("char_lm", "word_lm", "vocab", "oov_beta")),
+    "lookahead": (LookAheadScorer, ("word_lm", "vocab", "oov_eta")),
+}
+
+
+def _build_lm(strategy: str, inputs: dict):
+    scorer, names = STRATEGIES[strategy]
+    return None if scorer is None else scorer(*(inputs[name] for name in names))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,23 +64,13 @@ def _usage_error(message: str) -> int:
     return USAGE_ERROR
 
 
-def _data_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return DATA_ERROR
-
-
 def cmd_train_lm(args) -> int:
-    if not 1 <= args.order <= 5:
-        return _usage_error(f"--order must be between 1 and 5, got {args.order}")
     if args.level == "word" and args.vocab is None:
         return _usage_error("--vocab is required for level 'word'")
-    try:
-        sentences = load_corpus(args.corpus)
-        vocab = load_vocabulary(args.vocab) if args.vocab else None
-        model = train_ngram(sentences, args.order, args.level, vocab)
-        save_model(model, args.out)
-    except (OSError, ValueError) as exc:
-        return _data_error(str(exc))
+    sentences = load_corpus(args.corpus)
+    vocab = load_vocabulary(args.vocab) if args.vocab else None
+    model = train_ngram(sentences, args.order, args.level, vocab)
+    save_model(model, args.out)
     tokens = sum(len(sentence) for sentence in sentences)
     print(
         f"trained {args.level} {args.order}-gram on {len(sentences)} sentences"
@@ -79,57 +79,25 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
-def _build_scorers(args, vocab):
-    """LM and attention scorers for the requested strategy."""
-    char_model = load_model(args.char_lm) if args.char_lm else None
-    word_model = load_model(args.word_lm) if args.word_lm else None
-    if args.lm_strategy == "none":
-        lm = None
-    elif args.lm_strategy == "char":
-        lm = CharLMScorer(char_model)
-    elif args.lm_strategy == "multilevel":
-        lm = MultiLevelScorer(char_model, word_model, vocab, oov_scale=args.oov_beta)
-    else:
-        lm = LookAheadScorer(word_model, vocab, oov_scale=args.oov_eta)
-    att = CharLMScorer(load_model(args.att_lm)) if args.att_lm else None
-    return lm, att
-
-
-def _require_flags(args) -> str | None:
-    needs = {
-        "char": ("char_lm",),
-        "multilevel": ("char_lm", "word_lm", "vocab"),
-        "lookahead": ("word_lm", "vocab"),
-    }
-    for attr in needs.get(args.lm_strategy, ()):
-        if getattr(args, attr) is None:
-            flag = "--" + attr.replace("_", "-")
-            return f"{flag} is required for strategy {args.lm_strategy!r}"
-    return None
-
-
 def cmd_decode(args) -> int:
-    missing = _require_flags(args)
-    if missing:
-        return _usage_error(missing)
-    try:
-        vocab = load_vocabulary(args.vocab) if args.vocab else None
-        lm, att = _build_scorers(args, vocab)
-        config = DecodeConfig(
-            ctc_weight=args.ctc_weight,
-            lm_weight=args.lm_weight,
-            beam_width=args.beam_width,
-            max_len=args.max_len,
-            n_best=args.n_best,
-        )
-        expected = ctc_labels(vocab) if vocab is not None else None
-        results = []
-        for path in args.posteriors:
-            matrix = load_posteriors(path, expected_labels=expected)
-            results.append(decode(matrix, lm, att, config))
-        write_nbest(results, args.out)
-    except (OSError, ValueError) as exc:
-        return _data_error(str(exc))
+    for name in STRATEGIES[args.lm_strategy][1]:
+        if getattr(args, name) is None:
+            flag = "--" + name.replace("_", "-")
+            return _usage_error(f"{flag} is required for strategy {args.lm_strategy!r}")
+    vocab = load_vocabulary(args.vocab) if args.vocab else None
+    inputs = {**vars(args), "vocab": vocab}
+    for name in ("char_lm", "word_lm"):
+        if inputs[name]:
+            inputs[name] = load_model(inputs[name])
+    lm = _build_lm(args.lm_strategy, inputs)
+    att = CharLMScorer(load_model(args.att_lm)) if args.att_lm else None
+    config = _decode_config(args, max_len=args.max_len, n_best=args.n_best)
+    expected = ctc_labels(vocab) if vocab is not None else None
+    results = []
+    for path in args.posteriors:
+        matrix = load_posteriors(path, expected_labels=expected)
+        results.append(decode(matrix, lm, att, config))
+    write_nbest(results, args.out)
     print(f"decoded {len(results)} utterance(s) -> {args.out}")
     return 0
 
@@ -156,38 +124,27 @@ def cmd_bench(args) -> int:
     for strategy in strategies:
         if strategy not in STRATEGIES:
             return _usage_error(f"unknown strategy {strategy!r}")
-    if bench_mod.BASELINE not in strategies:
-        strategies.insert(0, bench_mod.BASELINE)
-    try:
-        entries = _load_manifest(Path(args.manifest))
-        utterances = [(load_posteriors(path), ref) for path, ref in entries]
-        sentences = load_corpus(args.corpus)
-        sizes = [int(size) for size in args.vocab_sizes.split(",")]
-        systems = [bench_mod.BenchSystem(bench_mod.BASELINE, None, None)]
-        for size in sizes:
-            vocab = build_vocab(sentences, size)
-            word_model = train_ngram(sentences, args.word_order, "word", vocab)
-            char_model = train_ngram(sentences, args.char_order, "char", vocab)
-            tree = PrefixTree.build(vocab)
-            for strategy in strategies:
-                if strategy == "none":
-                    continue
-                elif strategy == "char":
-                    lm = CharLMScorer(char_model)
-                elif strategy == "multilevel":
-                    lm = MultiLevelScorer(char_model, word_model, vocab)
-                else:
-                    lm = LookAheadScorer(word_model, vocab, tree)
+    entries = _load_manifest(Path(args.manifest))
+    utterances = [(load_posteriors(path), ref) for path, ref in entries]
+    sentences = load_corpus(args.corpus)
+    sizes = [int(size) for size in args.vocab_sizes.split(",")]
+    systems = [bench_mod.BenchSystem(bench_mod.BASELINE, None, None)]
+    for size in sizes:
+        vocab = build_vocab(sentences, size)
+        inputs = {
+            "word_lm": train_ngram(sentences, args.word_order, "word", vocab),
+            "char_lm": train_ngram(sentences, args.char_order, "char", vocab),
+            "vocab": vocab,
+            "oov_beta": 1.0,  # bench has no OOV flags: no OOV scaling
+            "oov_eta": 1.0,
+        }
+        for strategy in strategies:
+            if strategy != bench_mod.BASELINE:
+                lm = _build_lm(strategy, inputs)
                 systems.append(bench_mod.BenchSystem(strategy, vocab.spelled_count, lm))
-        config = DecodeConfig(
-            ctc_weight=args.ctc_weight,
-            lm_weight=args.lm_weight,
-            beam_width=args.beam_width,
-        )
-        rows = bench_mod.run_benchmark(utterances, systems, config, args.repetitions)
-        bench_mod.write_report(rows, args.out)
-    except (OSError, ValueError) as exc:
-        return _data_error(str(exc))
+    config = _decode_config(args)
+    rows = bench_mod.run_benchmark(utterances, systems, config, args.repetitions)
+    bench_mod.write_report(rows, args.out)
     print(bench_mod.format_report(rows), end="")
     print(f"report -> {args.out}")
     return 0
@@ -196,34 +153,31 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     if args.utterances < 1 or args.sentences < 1:
         return _usage_error("--utterances and --sentences must be >= 1")
-    try:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        words = synth_vocabulary(
-            args.vocab_size, seed=args.seed, alphabet=args.alphabet
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    words = synth_vocabulary(
+        args.vocab_size, seed=args.seed, alphabet=args.alphabet
+    )
+    vocab = Vocabulary.from_words(words)
+    chain = MarkovText(words, seed=args.seed + 1)
+    corpus = chain.sentences(args.sentences, args.min_words, args.max_words, seed=args.seed + 2)
+    transcripts = chain.sentences(
+        args.utterances, args.min_words, args.max_words, seed=args.seed + 3
+    )
+    save_vocabulary(vocab, out_dir / "vocab.txt")
+    (out_dir / "corpus.txt").write_text(
+        "\n".join(" ".join(sentence) for sentence in corpus) + "\n", encoding="utf-8"
+    )
+    labels = ctc_labels(vocab)
+    manifest = []
+    for i, transcript in enumerate(transcripts):
+        matrix = synth_posteriors(
+            transcript, labels, args.frames_per_label, args.peak, seed=args.seed + 10 + i
         )
-        vocab = Vocabulary.from_words(words)
-        chain = MarkovText(words, seed=args.seed + 1)
-        corpus = chain.sentences(args.sentences, args.min_words, args.max_words, seed=args.seed + 2)
-        transcripts = chain.sentences(
-            args.utterances, args.min_words, args.max_words, seed=args.seed + 3
-        )
-        save_vocabulary(vocab, out_dir / "vocab.txt")
-        (out_dir / "corpus.txt").write_text(
-            "\n".join(" ".join(sentence) for sentence in corpus) + "\n", encoding="utf-8"
-        )
-        labels = ctc_labels(vocab)
-        manifest = []
-        for i, transcript in enumerate(transcripts):
-            matrix = synth_posteriors(
-                transcript, labels, args.frames_per_label, args.peak, seed=args.seed + 10 + i
-            )
-            name = f"utt_{i:04d}.tsv"
-            save_posteriors(matrix, out_dir / name)
-            manifest.append(f"{name}\t{' '.join(transcript)}")
-        (out_dir / "manifest.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        return _data_error(str(exc))
+        name = f"utt_{i:04d}.tsv"
+        save_posteriors(matrix, out_dir / name)
+        manifest.append(f"{name}\t{' '.join(transcript)}")
+    (out_dir / "manifest.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     print(f"wrote vocab, corpus and {args.utterances} utterances -> {out_dir}")
     return 0
 
@@ -234,6 +188,13 @@ def _add_decode_flags(parser, beam_width=30):
     parser.add_argument("--beam-width", type=int, default=beam_width)
 
 
+def _decode_config(args, **extra) -> DecodeConfig:
+    """The search settings of the flags ``_add_decode_flags`` adds, plus *extra*."""
+    return DecodeConfig(
+        ctc_weight=args.ctc_weight, lm_weight=args.lm_weight, beam_width=args.beam_width, **extra
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beamfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train-lm", help="train a Witten-Bell n-gram model")
     train.add_argument("--corpus", required=True)
     train.add_argument("--vocab", help="vocabulary file; required for word level")
-    train.add_argument("--order", type=int, required=True)
+    train.add_argument(
+        "--order", type=int, choices=range(1, MAX_ORDER + 1), required=True
+    )
     train.add_argument("--level", choices=("word", "char"), required=True)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train_lm)
@@ -264,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="time fusion strategies on an evaluation set")
     ben.add_argument("--manifest", required=True, help="lines: posterior_path<TAB>reference")
     ben.add_argument("--corpus", required=True, help="LM training text")
-    ben.add_argument("--strategies", default="none,char,multilevel,lookahead")
+    ben.add_argument("--strategies", default=",".join(STRATEGIES))
     ben.add_argument("--vocab-sizes", default="1000")
     ben.add_argument("--word-order", type=int, default=2)
     ben.add_argument("--char-order", type=int, default=3)
@@ -290,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

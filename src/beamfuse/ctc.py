@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BLANK
+from .vocab import BLANK, EOS
 
 NEG_INF = float("-inf")
 
@@ -41,6 +41,18 @@ class BadFrameError(ValueError):
         self.frame, self.fault, self.total = frame, fault, total
 
 
+def check_column_labels(labels: Sequence[str]) -> None:
+    """The posterior header rules: distinct labels including ``<blank>``, and
+    neither ``<eos>`` (no frame emits it) nor ``""`` (left by a stray tab)."""
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate label in header")
+    if BLANK not in labels:
+        raise ValueError(f"header is missing {BLANK}")
+    for label in (EOS, ""):
+        if label in labels:
+            raise ValueError(f"{label!r} cannot label a posterior column")
+
+
 @dataclass(frozen=True)
 class PosteriorMatrix:
     """Frame posteriors: one row per frame over ``labels`` (incl. ``<blank>``)."""
@@ -53,10 +65,7 @@ class PosteriorMatrix:
         probs = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate posterior labels")
-        if BLANK not in labels:
-            raise ValueError("posterior labels must include <blank>")
+        check_column_labels(labels)
         if probs.ndim != 2 or probs.shape[1] != len(labels):
             raise ValueError("posterior matrix shape does not match labels")
         if probs.shape[0] < 1:

@@ -101,6 +101,43 @@ class CharLMScorer(_FusionScorer):
 
 
 # ======================================================================
+# word-LM scorers: shared base
+# ======================================================================
+
+
+class _WordScorer(_FusionScorer):
+    """What the two word-LM scorers share.
+
+    A subclass says whether a state has a pending word (``_pending``) and
+    what closing it scores (``_close_word``); ``final`` closes any pending
+    word, then adds ``log P(<eos> | word history)``.
+    """
+
+    def __init__(self, word_model: NGramModel, vocab: Vocabulary, oov_scale: float):
+        if word_model.level != "word":
+            raise ValueError("fusion requires a word-level model")
+        if word_model.tokens != vocab.lm_tokens:
+            raise ValueError("word model inventory does not match the vocabulary")
+        if oov_scale <= 0.0:
+            raise ValueError("oov_scale must be positive")
+        self.word_model = word_model
+        self.vocab = vocab
+        self.oov_scale = oov_scale
+        self._keep_words = word_model.order - 1
+        self._log_oov_scale = math.log(oov_scale)
+
+    def final(self, state) -> float:
+        boundary, history = 0.0, state.word_history
+        if self._pending(state):
+            boundary, word_id = self._close_word(state)
+            history = self._clip(history + (word_id,))
+        return boundary + math.log(self.word_model.prob(self.vocab.eos_id, history))
+
+    def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
+        return history[-self._keep_words :] if self._keep_words else ()
+
+
+# ======================================================================
 # multi-level character/word LM
 # ======================================================================
 
@@ -113,7 +150,7 @@ class MultiLevelState:
     pending_logp: float  # character-LM log mass accumulated for the pending word
 
 
-class MultiLevelScorer(_FusionScorer):
+class MultiLevelScorer(_WordScorer):
     """Character-LM scores in-word, replaced by word probabilities at boundaries.
 
     Inside a word every label costs its character-LM probability and that
@@ -133,18 +170,11 @@ class MultiLevelScorer(_FusionScorer):
     ):
         if char_model.level != "char":
             raise ValueError("multi-level scorer requires a character-level model")
-        _check_word_model(word_model, vocab)
-        if oov_scale <= 0.0:
-            raise ValueError("oov_scale must be positive")
+        super().__init__(word_model, vocab, oov_scale)
         self.char_model = char_model
-        self.word_model = word_model
-        self.vocab = vocab
-        self.oov_scale = oov_scale
         self.labels = frozenset(char_model.tokens)
         self._ids = char_model.token_ids
         self._keep_chars = char_model.order - 1
-        self._keep_words = word_model.order - 1
-        self._log_oov_scale = math.log(oov_scale)
 
     def initial_state(self, word_history: Sequence[int] = ()) -> MultiLevelState:
         return MultiLevelState((), self._clip(tuple(word_history)), (), 0.0)
@@ -172,16 +202,6 @@ class MultiLevelScorer(_FusionScorer):
             char_context, state.word_history, state.pending + (label,), state.pending_logp + logp
         )
 
-    def final(self, state: MultiLevelState) -> float:
-        """Boundary correction for any pending word, then the <eos> word term."""
-        total = 0.0
-        history = state.word_history
-        if state.pending:
-            boundary, word_id = self._close_word(state)
-            total = boundary
-            history = self._clip(history + (word_id,))
-        return total + math.log(self.word_model.prob(self.vocab.eos_id, history))
-
     def future_score_bound(self, state: MultiLevelState) -> float:
         # Closing the pending word recovers at most its character mass, and
         # none if no vocabulary word continues its spelling (it closes as
@@ -197,8 +217,8 @@ class MultiLevelScorer(_FusionScorer):
             return logp + self._log_oov_scale, word_id
         return logp - state.pending_logp, word_id
 
-    def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
-        return history[-self._keep_words :] if self._keep_words else ()
+    def _pending(self, state: MultiLevelState) -> bool:
+        return bool(state.pending)
 
 
 # ======================================================================
@@ -215,7 +235,7 @@ class LookAheadState:
     unk_logp: float  # the OOV charge: scaled log P(<UNK> | word_history)
 
 
-class LookAheadScorer(_FusionScorer):
+class LookAheadScorer(_WordScorer):
     """Word-LM look-ahead over a prefix tree; no character LM involved.
 
     While a word is being spelled the hypothesis walks the tree and each
@@ -229,24 +249,11 @@ class LookAheadScorer(_FusionScorer):
     root is the only state with no pending characters.
     """
 
-    def __init__(
-        self,
-        word_model: NGramModel,
-        vocab: Vocabulary,
-        tree: PrefixTree | None = None,
-        oov_scale: float = 1.0,
-    ):
-        _check_word_model(word_model, vocab)
-        if oov_scale <= 0.0:
-            raise ValueError("oov_scale must be positive")
-        self.word_model = word_model
-        self.vocab = vocab
-        self.tree = tree if tree is not None else PrefixTree.build(vocab)
-        self.oov_scale = oov_scale
+    def __init__(self, word_model: NGramModel, vocab: Vocabulary, oov_scale: float = 1.0):
+        super().__init__(word_model, vocab, oov_scale)
+        self.tree = PrefixTree.build(vocab)
         self.labels = frozenset(vocab.label_set)
         self._columns = {**self.tree.columns, **dict.fromkeys(WORD_END_LABELS, -1)}
-        self._keep_words = word_model.order - 1
-        self._log_oov_scale = math.log(oov_scale)
 
     def initial_state(self, word_history: Sequence[int] = ()) -> LookAheadState:
         return self._root_state(self._clip(tuple(word_history)))
@@ -285,14 +292,6 @@ class LookAheadScorer(_FusionScorer):
         mass = 0.0 if child is None else math.log(lookahead_prob(self.tree, child, state.sums))
         return LookAheadState(child, mass, state.word_history, state.sums, state.unk_logp)
 
-    def final(self, state: LookAheadState) -> float:
-        """Word-end handling for <eos>, then the <eos> word-LM term."""
-        boundary, history = 0.0, state.word_history
-        if state.node != PrefixTree.ROOT:
-            boundary, word_id = self._close_word(state)
-            history = self._clip(history + (word_id,))
-        return boundary + math.log(self.word_model.prob(self.vocab.eos_id, history))
-
     def future_score_bound(self, state: LookAheadState) -> float:
         # Interval masses shrink along every spelling and the word-end
         # correction cancels at most the accumulated mass, so with
@@ -319,12 +318,5 @@ class LookAheadScorer(_FusionScorer):
         unk = math.log(self.word_model.prob(self.vocab.unk_id, history)) + self._log_oov_scale
         return LookAheadState(PrefixTree.ROOT, mass, history, sums, unk)
 
-    def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
-        return history[-self._keep_words :] if self._keep_words else ()
-
-
-def _check_word_model(word_model: NGramModel, vocab: Vocabulary) -> None:
-    if word_model.level != "word":
-        raise ValueError("fusion requires a word-level model")
-    if word_model.tokens != vocab.lm_tokens:
-        raise ValueError("word model inventory does not match the vocabulary")
+    def _pending(self, state: LookAheadState) -> bool:
+        return state.node != PrefixTree.ROOT

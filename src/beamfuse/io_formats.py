@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import BadFrameError, PosteriorMatrix
+from .ctc import BadFrameError, PosteriorMatrix, check_column_labels
 from .decoder import DecodeResult
 from .vocab import BLANK, EOS, Vocabulary, to_char_labels
 
@@ -47,10 +47,10 @@ def load_posteriors(
     if not lines:
         raise PosteriorFormatError(f"{path}:1: empty posterior file")
     labels = tuple(lines[0].split("\t"))
-    if len(set(labels)) != len(labels):
-        raise PosteriorFormatError(f"{path}:1: duplicate label in header")
-    if BLANK not in labels:
-        raise PosteriorFormatError(f"{path}:1: header is missing {BLANK}")
+    try:
+        check_column_labels(labels)
+    except ValueError as exc:
+        raise PosteriorFormatError(f"{path}:1: {exc}") from None
     if expected_labels is not None:
         allowed = set(expected_labels)
         for label in labels:

@@ -28,6 +28,7 @@ _FORMAT = "beamfuse-ngram"
 _VERSION = 1
 
 MAX_ORDER = 5
+ROW_CACHE_SIZE = 256  # contexts whose cumulative sums and log rows stay cached
 
 
 class NGramModel:
@@ -52,7 +53,6 @@ class NGramModel:
         level: str,
         tokens: Sequence[str],
         counts: list[dict[tuple[int, ...], dict[int, int]]] | None = None,
-        cumsum_cache_size: int = 256,
     ):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
@@ -86,8 +86,8 @@ class NGramModel:
             for level_counts in self._counts
         ]
         self._unigram = self._build_unigram()
-        self.cumsums = lru_cache(maxsize=cumsum_cache_size)(self._cumsums_uncached)
-        self.log_rows = lru_cache(maxsize=cumsum_cache_size)(self._log_row_uncached)
+        self.cumsums = lru_cache(maxsize=ROW_CACHE_SIZE)(self._cumsums_uncached)
+        self.log_rows = lru_cache(maxsize=ROW_CACHE_SIZE)(self._log_row_uncached)
 
     # ------------------------------------------------------------------
     # queries

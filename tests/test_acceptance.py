@@ -141,8 +141,8 @@ def test_criterion_2_lookahead_telescopes_to_word_probability():
     start = time.perf_counter()
     worst = 0.0
     checked = 0
-    for vocab, model, tree, contexts in vocab_family():
-        scorer = LookAheadScorer(model, vocab, tree)
+    for vocab, model, _, contexts in vocab_family():
+        scorer = LookAheadScorer(model, vocab)
         n_words = vocab.spelled_count
         root_mass = {
             ctx: float(model.full_distribution(ctx)[:n_words].sum())
@@ -417,7 +417,6 @@ def test_criterion_8_lookahead_adds_less_time_than_multilevel():
     transcripts = chain.sentences(500, 3, 5, seed=24)
     word_lm = train_ngram(corpus, 1, "word", vocab)
     char_lm = train_ngram(corpus, 5, "char", vocab)
-    tree = PrefixTree.build(vocab)
     labels = ctc_labels(vocab)
     utterances = [
         (synth_posteriors(t, labels, frames_per_label=1, peak=0.8, seed=200 + i), t)
@@ -426,7 +425,7 @@ def test_criterion_8_lookahead_adds_less_time_than_multilevel():
     systems = [
         BenchSystem("none", None, None),
         BenchSystem("multilevel", 20_000, MultiLevelScorer(char_lm, word_lm, vocab)),
-        BenchSystem("lookahead", 20_000, LookAheadScorer(word_lm, vocab, tree)),
+        BenchSystem("lookahead", 20_000, LookAheadScorer(word_lm, vocab)),
     ]
     config = DecodeConfig(ctc_weight=0.6, lm_weight=0.7, beam_width=4)
     wins = 0

@@ -63,19 +63,21 @@ def test_trained_models_load(workspace):
     assert char.level == "char"
 
 
-def test_train_rejects_bad_order(workspace):
+@pytest.mark.parametrize("order", ["0", "6"])
+def test_train_rejects_bad_order(workspace, order):
     data = workspace / "data"
-    code = main(
-        [
-            "train-lm",
-            "--corpus", str(data / "corpus.txt"),
-            "--vocab", str(data / "vocab.txt"),
-            "--order", "0",
-            "--level", "word",
-            "--out", str(workspace / "x.lm"),
-        ]
-    )
-    assert code == 1
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "train-lm",
+                "--corpus", str(data / "corpus.txt"),
+                "--vocab", str(data / "vocab.txt"),
+                "--order", order,
+                "--level", "word",
+                "--out", str(workspace / "x.lm"),
+            ]
+        )
+    assert info.value.code == 1
 
 
 def test_train_word_level_requires_vocab(workspace, capsys):
@@ -118,6 +120,47 @@ def test_decode_missing_strategy_flag_names_it(workspace, capsys):
     )
     assert code == 1
     assert "--vocab is required" in capsys.readouterr().err
+
+
+# The inputs each strategy requires, pinned here independently of the CLI.
+REQUIRED_FLAGS = {
+    "none": (),
+    "char": ("--char-lm",),
+    "multilevel": ("--char-lm", "--word-lm", "--vocab"),
+    "lookahead": ("--word-lm", "--vocab"),
+}
+
+
+def _decode_args(workspace, strategy, flags):
+    paths = {
+        "--char-lm": workspace / "char.lm",
+        "--word-lm": workspace / "word.lm",
+        "--vocab": workspace / "data" / "vocab.txt",
+    }
+    return [
+        "decode",
+        "--posteriors", str(workspace / "data" / "utt_0000.tsv"),
+        "--lm-strategy", strategy,
+        *(arg for flag in flags for arg in (flag, str(paths[flag]))),
+        "--beam-width", "4",
+        "--out", str(workspace / f"{strategy}.txt"),
+    ]
+
+
+@pytest.mark.parametrize("strategy", list(REQUIRED_FLAGS))
+def test_decode_runs_every_strategy(workspace, strategy):
+    assert main(_decode_args(workspace, strategy, REQUIRED_FLAGS[strategy])) == 0
+    assert (workspace / f"{strategy}.txt").read_text(encoding="utf-8").strip()
+
+
+@pytest.mark.parametrize(
+    "strategy, missing",
+    [(strategy, flag) for strategy, flags in REQUIRED_FLAGS.items() for flag in flags],
+)
+def test_decode_names_each_missing_flag(workspace, capsys, strategy, missing):
+    flags = [flag for flag in REQUIRED_FLAGS[strategy] if flag != missing]
+    assert main(_decode_args(workspace, strategy, flags)) == 1
+    assert f"{missing} is required for strategy {strategy!r}" in capsys.readouterr().err
 
 
 def test_decode_is_byte_identical_across_runs(workspace):
@@ -169,6 +212,17 @@ def test_decode_nan_posteriors_is_data_error(workspace, capsys):
     code = main(["decode", "--posteriors", str(bad), "--out", str(workspace / "n.txt")])
     assert code == 2
     assert "nan.tsv:3: non-finite probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["<eos>", ""])
+def test_decode_reserved_header_label_is_data_error(workspace, capsys, label):
+    bad = workspace / "reserved.tsv"
+    bad.write_text(f"a\t{label}\t<blank>\n0.5\t0.3\t0.2\n0.2\t0.6\t0.2\n", encoding="utf-8")
+    code = main(["decode", "--posteriors", str(bad), "--out", str(workspace / "n.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"reserved.tsv:1: {label!r} cannot label a posterior column" in err
+    assert "Traceback" not in err
 
 
 def test_decode_malformed_model_is_data_error(workspace, capsys):
@@ -250,6 +304,25 @@ def test_bench_report_shape(workspace):
     assert float(lookahead[2]) > 0.0
 
 
+def test_bench_reports_every_strategy_in_order(workspace):
+    data = workspace / "data"
+    strategies = ["none", "char", "multilevel", "lookahead"]
+    code = main(
+        [
+            "bench",
+            "--manifest", str(data / "manifest.tsv"),
+            "--corpus", str(data / "corpus.txt"),
+            "--strategies", ",".join(strategies),
+            "--vocab-sizes", "25",
+            "--beam-width", "4",
+            "--out", str(workspace / "report.tsv"),
+        ]
+    )
+    assert code == 0
+    lines = (workspace / "report.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in lines[1:]] == strategies
+
+
 def test_unknown_strategy_is_usage_error(workspace, capsys):
     code = main(
         [
@@ -271,3 +344,23 @@ def test_argparse_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train-lm", "--corpus", "{ws}/missing.txt", "--out", "{ws}/x.lm"],
+        ["train-lm", "--corpus", "{ws}/data/corpus.txt", "--out", "{ws}/blocker/x.lm"],
+        ["synth", "--out-dir", "{ws}/blocker/data", "--utterances", "1"],
+    ],
+    ids=["train-lm-missing-corpus", "train-lm-unwritable-out", "synth-unwritable-out-dir"],
+)
+def test_data_errors_exit_two(workspace, capsys, command):
+    (workspace / "blocker").write_text("a file, so no directory can be made below it\n")
+    args = [arg.format(ws=workspace) for arg in command]
+    if args[0] == "train-lm":
+        args += ["--order", "2", "--level", "char"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

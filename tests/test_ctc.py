@@ -16,6 +16,7 @@ import pytest
 
 from beamfuse import (
     BLANK,
+    EOS,
     CtcPrefixScorer,
     PosteriorMatrix,
     ctc_brute_force,
@@ -144,7 +145,7 @@ def test_candidate_scores_match_single_extensions():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError, match="include <blank>"):
+    with pytest.raises(ValueError, match="missing <blank>"):
         PosteriorMatrix(("a", "b"), np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="duplicate"):
         PosteriorMatrix(("a", "a", BLANK), np.full((1, 3), 1 / 3))
@@ -158,6 +159,10 @@ def test_matrix_validation():
         PosteriorMatrix(("a", BLANK), np.array([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="non-finite"):
         PosteriorMatrix(("a", BLANK), np.array([[np.inf, 0.5]]))
+    with pytest.raises(ValueError, match="'<eos>' cannot label a posterior column"):
+        PosteriorMatrix(("a", EOS, BLANK), np.full((1, 3), 1 / 3))
+    with pytest.raises(ValueError, match="'' cannot label a posterior column"):
+        PosteriorMatrix(("a", "", BLANK), np.full((1, 3), 1 / 3))
 
 
 def test_cannot_extend_by_blank():

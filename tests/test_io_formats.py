@@ -60,6 +60,15 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(PosteriorFormatError, match=r":1: header is missing"):
         load_posteriors(path)
 
+    path = _write(tmp_path, "a\t<eos>\t" + BLANK + "\n0.5\t0.3\t0.2\n")
+    with pytest.raises(PosteriorFormatError, match=r":1: '<eos>' cannot label a posterior column"):
+        load_posteriors(path)
+
+    # a trailing tab gives an empty label; checked before the rows are read
+    path = _write(tmp_path, header + "\t\n0.5\t0.5\n")
+    with pytest.raises(PosteriorFormatError, match=r":1: '' cannot label a posterior column"):
+        load_posteriors(path)
+
     path = _write(tmp_path, header + "\n0.5\n")
     with pytest.raises(PosteriorFormatError, match=r":2: expected 2 fields, got 1"):
         load_posteriors(path)

@@ -27,6 +27,7 @@ from beamfuse import (
     save_model,
     train_ngram,
 )
+from beamfuse.ngram import ROW_CACHE_SIZE
 
 CORPUS = [["a", "cat", "eats"]]
 
@@ -126,10 +127,9 @@ def test_log_rows_are_cached_and_read_only(trained_char_lm):
 
 
 def test_log_row_cache_has_the_cumsum_cache_size(tiny_vocab):
-    for size in (256, 7):
-        model = NGramModel(2, "char", tiny_vocab.label_set, cumsum_cache_size=size)
-        assert model.log_rows.cache_parameters()["maxsize"] == size
-        assert model.cumsums.cache_parameters()["maxsize"] == size
+    model = NGramModel(2, "char", tiny_vocab.label_set)
+    assert model.log_rows.cache_parameters()["maxsize"] == ROW_CACHE_SIZE
+    assert model.cumsums.cache_parameters()["maxsize"] == ROW_CACHE_SIZE
 
 
 def test_uniform_model():
