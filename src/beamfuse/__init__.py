@@ -10,14 +10,7 @@ look-ahead fusion, which distributes word probability mass over a
 prefix tree of spellings so every character carries its share.
 """
 
-from .ctc import (
-    CtcPrefixScorer,
-    PosteriorMatrix,
-    ctc_brute_force,
-    ctc_brute_force_full,
-    ctc_final,
-    greedy_decode,
-)
+from .ctc import CtcBeam, CtcPrefixScorer, PosteriorMatrix, ctc_final
 from .decoder import (
     DecodeConfig,
     DecodeResult,
@@ -62,52 +55,3 @@ from .vocab import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BLANK",
-    "CharLMScorer",
-    "CtcPrefixScorer",
-    "DecodeConfig",
-    "DecodeResult",
-    "EOS",
-    "EmptyWordError",
-    "Hypothesis",
-    "LookAheadScorer",
-    "MarkovText",
-    "MultiLevelScorer",
-    "NGramModel",
-    "PosteriorFormatError",
-    "PosteriorMatrix",
-    "PrefixTree",
-    "SPACE",
-    "UNK",
-    "Vocabulary",
-    "build_vocab",
-    "char_error_rate",
-    "combine_scores",
-    "ctc_brute_force",
-    "ctc_brute_force_full",
-    "ctc_final",
-    "ctc_labels",
-    "cumulative_sums",
-    "decode",
-    "edit_distance",
-    "exhaustive_decode",
-    "from_char_labels",
-    "greedy_decode",
-    "load_corpus",
-    "load_model",
-    "load_posteriors",
-    "load_vocabulary",
-    "lookahead_prob",
-    "save_model",
-    "save_posteriors",
-    "save_vocabulary",
-    "synth_posteriors",
-    "synth_vocabulary",
-    "to_char_labels",
-    "tokenize_line",
-    "train_ngram",
-    "word_error_rate",
-    "write_nbest",
-]

@@ -25,6 +25,7 @@ from .io_formats import (
 )
 from .ngram import MAX_ORDER, load_model, save_model, train_ngram
 from .vocab import (
+    SPACE,
     Vocabulary,
     build_vocab,
     load_corpus,
@@ -128,9 +129,14 @@ def cmd_bench(args) -> int:
     utterances = [(load_posteriors(path), ref) for path, ref in entries]
     sentences = load_corpus(args.corpus)
     sizes = [int(size) for size in args.vocab_sizes.split(",")]
+    # Whatever the word vocabulary is cut down to, its letters must cover
+    # the corpus (the character LM spells all of it) and the posteriors.
+    letters = {ch for sentence in sentences for word in sentence for ch in word}
+    letters.update(label for matrix, _ in utterances for label in matrix.char_labels)
+    letters.discard(SPACE)
     systems = [bench_mod.BenchSystem(bench_mod.BASELINE, None, None)]
     for size in sizes:
-        vocab = build_vocab(sentences, size)
+        vocab = Vocabulary.from_words(build_vocab(sentences, size).words, letters)
         inputs = {
             "word_lm": train_ngram(sentences, args.word_order, "word", vocab),
             "char_lm": train_ngram(sentences, args.char_order, "char", vocab),

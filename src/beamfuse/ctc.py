@@ -18,17 +18,15 @@ g is excluded from the transition.  All sums run in log domain.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .vocab import BLANK, EOS
 
 NEG_INF = float("-inf")
-
-_ENUM_LIMIT = 10_000_000
 
 
 class BadFrameError(ValueError):
@@ -103,12 +101,68 @@ class CtcState:
     length: int
 
 
+@dataclass(frozen=True, eq=False)
+class CtcBeam(Sequence[CtcState]):
+    """The CTC states of a whole beam, one column per hypothesis.
+
+    ``forward`` stacks the nonblank and blank vectors as (2, T, H); the
+    other fields are (H,) arrays.  ``beam[j]`` is a ``CtcState`` built from
+    copies of column j, so it never holds on to the block.  ``transition``
+    is built once per beam and serves both scoring and extension.
+    """
+
+    forward: np.ndarray
+    last_column: np.ndarray
+    log_prefix: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[CtcState]) -> CtcBeam:
+        """*states* as one beam; a ``CtcBeam`` is returned as it is."""
+        if isinstance(states, CtcBeam):
+            return states
+        forward = np.array([[s.nonblank for s in states], [s.blank for s in states]])
+        fields = zip(*((s.last_column, s.log_prefix, s.length) for s in states))
+        return cls(forward.transpose(0, 2, 1).copy(), *map(np.array, fields))
+
+    nonblank = property(lambda self: self.forward[0])
+    blank = property(lambda self: self.forward[1])
+
+    def __len__(self) -> int:
+        return self.forward.shape[2]
+
+    def __getitem__(self, j: int) -> CtcState:
+        nonblank, blank = (vectors[:, j].copy() for vectors in self.forward)
+        scalars = (int(self.last_column[j]), float(self.log_prefix[j]), int(self.length[j]))
+        return CtcState(nonblank, blank, *scalars)
+
+    def take(self, index: np.ndarray) -> CtcBeam:
+        """The hypotheses at *index*, in that order, with the transition
+        gathered too if it was already built."""
+        gathered = (self.last_column[index], self.log_prefix[index], self.length[index])
+        beam = CtcBeam(self.forward[:, :, index], *gathered)
+        if "transition" in vars(self):
+            vars(beam)["transition"] = self.transition[:, :, index]
+        return beam
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """Previous-frame blank and total masses, shifted so row t feeds
+        frame t: (2, T, H).  Row 0 is 0.0 only for the empty prefix."""
+        prev = np.empty_like(self.forward)
+        prev[:, 0] = np.where(self.length == 0, 0.0, NEG_INF)
+        prev[0, 1:] = self.blank[:-1]
+        np.logaddexp(self.blank[:-1], self.nonblank[:-1], out=prev[1, 1:])
+        return prev
+
+
 class CtcPrefixScorer:
     """Incremental prefix scoring for one posterior matrix.
 
-    ``candidate_scores`` evaluates every extension of a batch of hypotheses
-    in one vectorized pass; ``extended_states`` materializes the forward
-    vectors only for the extensions that survive pruning.
+    ``candidate_scores`` evaluates every extension of a beam in one
+    vectorized pass; ``extended_states`` materializes the forward vectors
+    only for the extensions that survive pruning, reusing the transition
+    the first call built for their parents.
 
     Both forward vectors follow first-order recurrences that are linear in
     probability space, ``y[t] = g[t] * (y[t-1] + d[t])`` with ``g`` a column
@@ -137,6 +191,9 @@ class CtcPrefixScorer:
         zero_rows = np.flatnonzero(np.isneginf(self._logp[:-1]).any(axis=1))
         bounds = [0, *(zero_rows + 1).tolist(), self._frames]
         self._segments = list(zip(bounds[:-1], bounds[1:]))
+        # Running sums of log p from each segment's first frame: the gains
+        # of the scans, the same floats for every step.
+        self._sums = np.concatenate([np.cumsum(self._logp[a:e], axis=0) for a, e in self._segments])
 
     def initial_state(self) -> CtcState:
         blank = np.cumsum(self._log_blank)
@@ -151,142 +208,83 @@ class CtcPrefixScorer:
             raise ValueError("cannot extend a hypothesis by <blank>")
         return col
 
-    def _transition(self, states: Sequence[CtcState]) -> tuple[np.ndarray, np.ndarray]:
-        """Previous-frame blank/total masses, shifted so row t feeds frame t."""
-        prev = np.empty((2, self._frames, len(states)))
-        prev[0, 0] = [0.0 if state.length == 0 else NEG_INF for state in states]
-        prev[1, 0] = NEG_INF
-        vectors = np.array(
-            [[state.blank[:-1] for state in states], [state.nonblank[:-1] for state in states]]
-        )
-        prev[:, 1:] = vectors.transpose(0, 2, 1)
-        prev_blank, prev_nonblank = prev
-        return prev_blank, np.logaddexp(prev_blank, prev_nonblank)
+    def candidate_scores(self, states: Sequence[CtcState], columns: Sequence[int]) -> np.ndarray:
+        """Log prefix scores for every state extended by every column; (H, C).
 
-    def candidate_scores(
-        self, states: Sequence[CtcState], columns: Sequence[int]
-    ) -> np.ndarray:
-        """Log prefix scores for every state extended by every column; (H, C)."""
-        prev_blank, prev_total = self._transition(states)
-        x = self._logp[:, columns]
-        terms = prev_total[:, :, None] + x[:, None, :]
+        A prefix of length L cannot be complete before frame L - 1, so rows
+        before L feed nothing but ``-inf`` and the sum starts at row L
+        (``logaddexp(-inf, x) == x`` exactly).
+        """
+        beam = CtcBeam.of(states)
+        start = min(*beam.length.tolist(), self._frames - 1)
+        prev_blank, prev_total = beam.transition[:, start:]
+        x = self._logp[start:, columns]
+        scores = np.logaddexp.reduce(prev_total[:, :, None] + x[:, None, :], axis=0)
         # A repeated label can only follow its first emission after a blank.
-        last = np.array([state.last_column for state in states])
-        rows, cols = np.nonzero(last[:, None] == np.asarray(columns))
-        terms[:, rows, cols] = prev_blank[:, rows] + x[:, cols]
-        return np.logaddexp.reduce(terms, axis=0)
+        rows, cols = np.nonzero(beam.last_column[:, None] == np.asarray(columns))
+        scores[rows, cols] = np.logaddexp.reduce(prev_blank[:, rows] + x[:, cols], axis=0)
+        return scores
 
     def extended_states(
-        self, extensions: Sequence[tuple[CtcState, int]], log_prefix: Sequence[float] | None = None
-    ) -> list[CtcState]:
-        """Forward vectors for chosen (state, column) extensions; *log_prefix*
-        passes their scores from ``candidate_scores``, which holds them bitwise."""
-        states = [state for state, _ in extensions]
-        columns = [col for _, col in extensions]
-        prev_blank, prev_total = self._transition(states)
-        same = np.array([state.last_column == col for state, col in extensions])
-        phi = np.where(same[None, :], prev_blank, prev_total)
-        x = self._logp[:, columns]
-        log_blank = self._log_blank[:, None]
-        forward = np.empty((2,) + x.shape)
+        self, states: Sequence[CtcState], *, columns: Sequence[int], log_prefix=None
+    ) -> CtcBeam:
+        """Forward vectors for each of *states* extended by the matching
+        entry of *columns*; *log_prefix* passes their scores from
+        ``candidate_scores``, which holds them bitwise.
+
+        Frames before a parent's length are ``-inf`` in both child vectors,
+        so each scan starts at the shortest parent's length.
+        """
+        parents = CtcBeam.of(states)
+        columns = np.asarray(columns, dtype=np.intp)
+        prev_blank, prev_total = parents.transition
+        phi = np.where(parents.last_column == columns, prev_blank, prev_total)
+        sums = self._sums[:, columns]
+        blank_sums = self._sums[:, self._blank_column, None]
+        first = min(parents.length.tolist())
+        forward = np.empty((2,) + sums.shape)
         nonblank, blank = forward
         last_nonblank = last_blank = NEG_INF
         for a, e in self._segments:
+            skip = min(max(first - a, 0), e - a)
             start = np.logaddexp(last_nonblank, phi[a])
-            _log_linear_scan(nonblank[a:e], start, x[a:e], phi[a + 1 : e])
+            _log_linear_scan(nonblank[a:e], start, sums[a:e], phi[a + 1 : e], skip)
             start = np.logaddexp(last_blank, last_nonblank)
-            _log_linear_scan(blank[a:e], start, log_blank[a:e], nonblank[a : e - 1])
+            _log_linear_scan(blank[a:e], start, blank_sums[a:e], nonblank[a : e - 1], skip)
             last_nonblank, last_blank = nonblank[e - 1], blank[e - 1]
         if log_prefix is None:
-            log_prefix = np.logaddexp.reduce(phi + x, axis=0).tolist()
-        # One buffer per state, so a kept state holds no other state's vectors.
-        pairs = [pair.copy() for pair in forward.transpose(2, 0, 1)]
-        return [
-            CtcState(pair[0], pair[1], col, score, state.length + 1)
-            for pair, col, score, state in zip(pairs, columns, log_prefix, states)
-        ]
+            log_prefix = np.logaddexp.reduce(phi + self._logp[:, columns], axis=0)
+        return CtcBeam(forward, columns, np.asarray(log_prefix, dtype=float), parents.length + 1)
 
 
-def _log_linear_scan(out: np.ndarray, start, gain: np.ndarray, drive: np.ndarray) -> None:
-    """Solve ``y[0] = gain[0] + start``, ``y[t] = gain[t] + logaddexp(y[t-1], drive[t-1])``.
+def _log_linear_scan(out: np.ndarray, start, sums: np.ndarray, drive: np.ndarray, skip: int):
+    """Solve ``y[0] = gain[0] + start``, ``y[t] = gain[t] + logaddexp(y[t-1], drive[t-1])``
+    given ``sums = cumsum(gain)``, when the first *skip* rows of ``y`` are known
+    to be ``-inf``.
 
-    With ``G = cumsum(gain)`` the recurrence unrolls to ``y[t] = G[t] +
-    logsumexp(start, drive[s-1] - G[s-1] for 1 <= s <= t)``: one cumulative
-    sum and one ``logaddexp`` scan down the rows of ``out``.  ``gain`` must
-    be finite on every row but the last.
+    The recurrence unrolls to ``y[t] = sums[t] + logsumexp(start, drive[s-1] -
+    sums[s-1] for 1 <= s <= t)``: one ``logaddexp`` scan down the rows of
+    ``out``.  A ``-inf`` row adds nothing to the scan, and ``logaddexp(-inf,
+    v) == v`` exactly, so it starts at row *skip*.  ``sums`` must be finite
+    on every row but the last.
     """
-    if not len(drive):  # a one-row block is a single step
-        np.add(start, gain[0], out=out[0])
+    out[:skip] = NEG_INF
+    if skip == len(out):
         return
-    sums = np.cumsum(gain, axis=0)
-    out[0] = start
-    np.subtract(drive, sums[:-1], out=out[1:])
-    np.logaddexp.accumulate(out, axis=0, out=out)
-    out += sums
+    if not len(drive):  # a one-row block is a single step
+        np.add(start, sums[0], out=out[0])
+        return
+    if skip:
+        np.subtract(drive[skip - 1 :], sums[skip - 1 : -1], out=out[skip:])
+    else:
+        out[0] = start
+        np.subtract(drive, sums[:-1], out=out[1:])
+    rest = out[skip:]
+    np.logaddexp.accumulate(rest, axis=0, out=rest)
+    rest += sums[skip:]
 
 
-def ctc_final(state: CtcState) -> float:
-    """Log probability that the collapsed output equals the prefix exactly."""
-    return float(np.logaddexp(state.nonblank[-1], state.blank[-1]))
-
-
-def _collapse(path: Sequence[int], blank: int) -> tuple[int, ...]:
-    out = []
-    previous = -1
-    for col in path:
-        if col != previous and col != blank:
-            out.append(col)
-        previous = col
-    return tuple(out)
-
-
-def _collapsed_paths(matrix: PosteriorMatrix):
-    frames = matrix.n_frames
-    width = len(matrix.labels)
-    if width**frames > _ENUM_LIMIT:
-        raise ValueError("posterior matrix too large to enumerate")
-    probs, blank = matrix.probs, matrix.blank_index
-    for path in itertools.product(range(width), repeat=frames):
-        p = 1.0
-        for t, col in enumerate(path):
-            p *= probs[t, col]
-        yield _collapse(path, blank), p
-
-
-def _prefix_columns(matrix: PosteriorMatrix, prefix: Sequence[str]) -> tuple[int, ...]:
-    columns = {label: i for i, label in enumerate(matrix.labels)}
-    blank = matrix.blank_index
-    out = []
-    for label in prefix:
-        col = columns.get(label)
-        if col is None or col == blank:
-            raise ValueError(f"invalid prefix label {label!r}")
-        out.append(col)
-    return tuple(out)
-
-
-def ctc_brute_force(posteriors: PosteriorMatrix, prefix: Sequence[str]) -> float:
-    """Prefix probability by full path enumeration; oracle for the recursion."""
-    target = _prefix_columns(posteriors, prefix)
-    total = 0.0
-    for collapsed, p in _collapsed_paths(posteriors):
-        if collapsed[: len(target)] == target:
-            total += p
-    return total
-
-
-def ctc_brute_force_full(posteriors: PosteriorMatrix, labels: Sequence[str]) -> float:
-    """Probability that the collapsed output equals *labels* exactly."""
-    target = _prefix_columns(posteriors, labels)
-    total = 0.0
-    for collapsed, p in _collapsed_paths(posteriors):
-        if collapsed == target:
-            total += p
-    return total
-
-
-def greedy_decode(posteriors: PosteriorMatrix) -> list[str]:
-    """Collapse the per-frame argmax path."""
-    path = np.argmax(posteriors.probs, axis=1)
-    collapsed = _collapse([int(c) for c in path], posteriors.blank_index)
-    return [posteriors.labels[col] for col in collapsed]
+def ctc_final(state):
+    """Log probability that the collapsed output equals the prefix exactly:
+    a float for a ``CtcState``, an (H,) array for a ``CtcBeam``."""
+    return np.logaddexp(state.nonblank[-1], state.blank[-1])

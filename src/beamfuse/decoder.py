@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .ctc import CtcPrefixScorer, CtcState, PosteriorMatrix, ctc_final
+from .ctc import CtcBeam, CtcPrefixScorer, CtcState, PosteriorMatrix, ctc_final
 from .vocab import EOS, from_char_labels
 
 _ENUM_LIMIT = 1_000_000
@@ -98,6 +98,19 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
     return (-hyp.joint, hyp.labels)
 
 
+@dataclass(frozen=True)
+class _Beam:
+    """The live hypotheses of one step: label sequences of equal length, in
+    lexicographic order.  The CTC score of each is its ``ctc.log_prefix``."""
+
+    labels: list[tuple[str, ...]]
+    ctc: CtcBeam
+    att: np.ndarray
+    lm: np.ndarray
+    att_states: list
+    lm_states: list
+
+
 class _Search:
     """One decode's scorers, labels, weights and expansion step.  A missing
     scorer is a missing term: it adds nothing to any score."""
@@ -109,75 +122,113 @@ class _Search:
             for label in (*self.labels, EOS) if scorer is not None else ():
                 if label not in scorer.labels:
                     raise ValueError(f"{role} scorer cannot score label {label!r}")
-        self.columns = [self.ctc.column(label) for label in self.labels]
+        self.columns = np.array([self.ctc.column(label) for label in self.labels], dtype=np.intp)
         self.lm, self.att, self.config = lm, att, config
         self.max_len = config.max_len if config.max_len is not None else posteriors.n_frames
 
-    def initial(self) -> Hypothesis:
-        lm = None if self.lm is None else self.lm.initial_state()
-        att = None if self.att is None else self.att.initial_state()
-        joint = combine_scores(0.0, 0.0, 0.0, self.config)
-        return Hypothesis((), 0.0, 0.0, 0.0, joint, False, self.ctc.initial_state(), lm, att)
+    def initial(self) -> _Beam:
+        ctc = CtcBeam.of([self.ctc.initial_state()])
+        lm = [None if self.lm is None else self.lm.initial_state()]
+        att = [None if self.att is None else self.att.initial_state()]
+        zero = np.zeros(1)
+        return _Beam([()], ctc, zero, zero, att, lm)
 
-    def finalize(self, hyp: Hypothesis) -> Hypothesis:
-        """*hyp* extended by ``<eos>``: exact-match CTC plus the scorers' final terms."""
-        ctc = ctc_final(hyp.ctc_state)
-        att = hyp.att_score if self.att is None else hyp.att_score + self.att.final(hyp.att_state)
-        lm = hyp.lm_score if self.lm is None else hyp.lm_score + self.lm.final(hyp.lm_state)
+    def finish(self, beam: _Beam, complete: list[Hypothesis]) -> None:
+        """Extend *beam* by ``<eos>`` (exact-match CTC plus the scorers'
+        final terms) and keep the best ``n_best`` in *complete*.  Only a
+        hypothesis that can enter it is built."""
+        ctc = ctc_final(beam.ctc)
+        att, lm = self._per_state(beam, "final")
         joint = combine_scores(ctc, att, lm, self.config)
-        states = (hyp.ctc_state, hyp.lm_state, hyp.att_state)
-        return Hypothesis(hyp.labels, ctc, att, lm, joint, True, *states)
+        n_best = self.config.n_best
+        entering = np.arange(len(joint))
+        if len(complete) == n_best:
+            entering = np.flatnonzero(joint >= complete[-1].joint)
+            if not entering.size:
+                return
+        if len(entering) > n_best:  # no more than n_best of one level can enter
+            entering = entering[np.argsort(-joint[entering], kind="stable")[:n_best]]
+        for j in entering.tolist():
+            scores = (ctc[j].item(), att[j].item(), lm[j].item(), joint[j].item())
+            states = (beam.ctc[j], beam.lm_states[j], beam.att_states[j])
+            complete.append(Hypothesis(beam.labels[j], *scores, True, *states))
+        complete.sort(key=_rank)
+        del complete[n_best:]
 
-    def upper_bound(self, hyp: Hypothesis) -> float:
-        """Joint score no completion of *hyp* can exceed."""
-        att, lm = hyp.att_score, hyp.lm_score
-        if self.att is not None:
-            att += self.att.future_score_bound(hyp.att_state)
-        if self.lm is not None:
-            lm += self.lm.future_score_bound(hyp.lm_state)
-        return combine_scores(hyp.ctc_score, att, lm, self.config)
+    def cannot_beat(self, beam: _Beam, worst: float) -> bool:
+        """Whether no completion of any hypothesis in *beam* can exceed *worst*."""
+        att, lm = self._per_state(beam, "future_score_bound")
+        # -inf CTC plus an infinite bound is NaN, which beats nothing.
+        with np.errstate(invalid="ignore"):
+            bound = combine_scores(beam.ctc.log_prefix, att, lm, self.config)
+        return bool((bound < worst).all())
 
-    def expand(self, beam: list[Hypothesis], width: int | None) -> list[Hypothesis]:
-        """The best *width* (all when None) one-label extensions of *beam*.
+    def expand(self, beam: _Beam, width: int | None) -> _Beam | None:
+        """The best *width* (all when None) one-label extensions of *beam*,
+        or None if there are none.
 
         Each scorer scores the whole step as an (H, C) matrix, and only the
         survivors get new states.  Children are ranked by (-joint, labels):
-        the parents are distinct label sequences of equal length, so a
-        parent's lexicographic rank, then the label index, orders them.
+        the parents are in lexicographic order and so are the labels, so
+        the candidates, row by row, are too, and a stable sort on the joint
+        score breaks its ties on the labels.  The survivors are kept in
+        candidate order, which keeps the beam in lexicographic order.
         """
-        ctc = self.ctc.candidate_scores([hyp.ctc_state for hyp in beam], self.columns)
-        att = self._totals(self.att, [h.att_score for h in beam], [h.att_state for h in beam])
-        lm = self._totals(self.lm, [h.lm_score for h in beam], [h.lm_state for h in beam])
+        ctc = self.ctc.candidate_scores(beam.ctc, self.columns)
+        att = self._totals(self.att, beam.att, beam.att_states)
+        lm = self._totals(self.lm, beam.lm, beam.lm_states)
         joint = combine_scores(ctc, att, lm, self.config)
         # NaN marks a label a scorer cannot take: the end of an empty word.
         parents, cols = np.nonzero(~np.isnan(att + lm))
-        rank = np.argsort(sorted(range(len(beam)), key=lambda j: beam[j].labels))
-        keep = np.lexsort((cols, rank[parents], -joint[parents, cols]))[:width]
+        keep = np.sort(np.argsort(-joint[parents, cols], kind="stable")[:width])
         parents, cols = parents[keep], cols[keep]
-        scores = [x[parents, cols].tolist() for x in (ctc, att, lm, joint)]
-        parents, cols = parents.tolist(), cols.tolist()
-        if not parents:
-            return []
-        states = self.ctc.extended_states(
-            [(beam[j].ctc_state, self.columns[i]) for j, i in zip(parents, cols)],
-            log_prefix=scores[0],
+        if not parents.size:
+            return None
+        ctc_beam = self.ctc.extended_states(
+            beam.ctc.take(parents), columns=self.columns[cols], log_prefix=ctc[parents, cols]
         )
-        children = []
-        for j, i, ctc_state, *totals in zip(parents, cols, states, *scores):
-            hyp, label = beam[j], self.labels[i]
-            lm_state = None if self.lm is None else self.lm.advance(hyp.lm_state, label)
-            att_state = None if self.att is None else self.att.advance(hyp.att_state, label)
-            children.append(
-                Hypothesis(hyp.labels + (label,), *totals, False, ctc_state, lm_state, att_state)
-            )
-        return children
+        labels, lm_states, att_states = [], [], []
+        for j, i in zip(parents.tolist(), cols.tolist()):
+            label, lm_state, att_state = self.labels[i], beam.lm_states[j], beam.att_states[j]
+            labels.append(beam.labels[j] + (label,))
+            lm_states.append(None if self.lm is None else self.lm.advance(lm_state, label))
+            att_states.append(None if self.att is None else self.att.advance(att_state, label))
+        att, lm = att[parents, cols], lm[parents, cols]
+        return _Beam(labels, ctc_beam, att, lm, att_states, lm_states)
 
-    def _totals(self, scorer, scores: list[float], states: list) -> np.ndarray:
+    def _totals(self, scorer, scores: np.ndarray, states: list) -> np.ndarray:
         """Accumulated scores plus this step's, as an (H, C) matrix."""
-        totals = np.array(scores)[:, None]
+        totals = scores[:, None]
         if scorer is None:
             return totals.repeat(len(self.labels), axis=1)
         return totals + scorer.score_all(states, self.labels)
+
+    def _per_state(self, beam: _Beam, method: str) -> list[np.ndarray]:
+        """The accumulated att and lm scores plus each state's *method* term."""
+        slots = ((self.att, beam.att, beam.att_states), (self.lm, beam.lm, beam.lm_states))
+        return [
+            scores if scorer is None else scores + [getattr(scorer, method)(s) for s in states]
+            for scorer, scores, states in slots
+        ]
+
+    def run(self, width: int | None, stop_early: bool) -> DecodeResult:
+        """Expand level by level, finishing every level; with *stop_early*,
+        stop once no live hypothesis can still beat the worst kept one."""
+        beam = self.initial()
+        complete: list[Hypothesis] = []
+        for _ in range(self.max_len):
+            self.finish(beam, complete)
+            beam = self.expand(beam, width)
+            if beam is None:
+                break
+            # The bound is only tight for OOV scales <= 1; scorers report an
+            # infinite bound otherwise, which disables this.
+            full = len(complete) == self.config.n_best
+            if stop_early and full and self.cannot_beat(beam, complete[-1].joint):
+                break
+        else:
+            self.finish(beam, complete)
+        return DecodeResult(complete, True)
 
 
 def decode(
@@ -196,26 +247,7 @@ def decode(
         LM fusion scorer and attention-slot scorer.  ``None`` means the
         term is left out (it scores zero everywhere).
     """
-    search = _Search(posteriors, lm, att, config)
-    beam = [search.initial()]
-    complete: list[Hypothesis] = []
-
-    for step in range(search.max_len + 1):
-        complete.extend(search.finalize(hyp) for hyp in beam)
-        complete.sort(key=_rank)
-        del complete[config.n_best :]
-        if step == search.max_len or not beam:
-            break
-        beam = search.expand(beam, config.beam_width)
-        # Stop once no live hypothesis can still beat the worst kept
-        # complete one; the bound is only tight for OOV scales <= 1, and
-        # scorers report an infinite bound otherwise, which disables this.
-        if len(complete) == config.n_best:
-            worst = complete[-1].joint
-            if all(search.upper_bound(hyp) < worst for hyp in beam):
-                break
-
-    return DecodeResult(complete, True)
+    return _Search(posteriors, lm, att, config).run(config.beam_width, stop_early=True)
 
 
 def exhaustive_decode(
@@ -226,21 +258,11 @@ def exhaustive_decode(
 ) -> DecodeResult:
     """Score every label sequence up to ``max_len``; oracle for ``decode``.
 
-    Expands each hypothesis with the beam search's own step, unpruned, so a
-    saturated beam reproduces its ranking exactly, floating point included.
+    Runs the beam search's own step level by level, unpruned and without
+    the early stop, so a saturated beam reproduces its ranking exactly,
+    floating point included.
     """
     search = _Search(posteriors, lm, att, config)
     if sum(len(search.labels) ** n for n in range(search.max_len + 1)) > _ENUM_LIMIT:
         raise ValueError("search space too large to enumerate")
-
-    results: list[Hypothesis] = []
-
-    def expand(hyp: Hypothesis, depth: int) -> None:
-        results.append(search.finalize(hyp))
-        if depth < search.max_len:
-            for child in search.expand([hyp], None):
-                expand(child, depth + 1)
-
-    expand(search.initial(), 0)
-    results.sort(key=_rank)
-    return DecodeResult(results[: config.n_best], True)
+    return search.run(None, stop_early=False)

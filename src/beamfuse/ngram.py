@@ -255,10 +255,19 @@ def save_model(model: NGramModel, path: str | Path) -> None:
         pickle.dump(payload, fh)
 
 
+class _PlainUnpickler(pickle.Unpickler):
+    """Loads plain dicts, lists, tuples, strings and numbers only: a file
+    that names any global (a class or a callable) is refused before
+    anything in it runs."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"refusing to load {module}.{name}")
+
+
 def load_model(path: str | Path) -> NGramModel:
     with open(path, "rb") as fh:
         try:
-            payload = pickle.load(fh)
+            payload = _PlainUnpickler(fh).load()
         except Exception as exc:
             raise ValueError(f"{path}: not a language-model file") from exc
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:

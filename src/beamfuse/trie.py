@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .vocab import Vocabulary
+from .vocab import EOS, SPACE, Vocabulary
 
 
 class PrefixTree:
@@ -38,7 +38,8 @@ class PrefixTree:
         # The extra column ends each comparison: a NUL equals the padding.
         same = np.c_[codes[1:] == codes[:-1], np.zeros(len(words) - 1, dtype=bool)]
         lcp = np.append(-1, np.minimum(same.argmin(1), lens[:-1]))
-        alphabet = np.unique(codes[np.arange(codes.shape[1]) < lens[:, None]])
+        letters = [label for label in vocab.label_set if label not in (SPACE, EOS)]
+        alphabet = np.array([ord(letter) for letter in letters], dtype=np.uint32)
         parts, owner, size = [], np.zeros(len(words), dtype=np.intp), 0
         for depth in range(codes.shape[1] + 1):
             cut = lcp < depth

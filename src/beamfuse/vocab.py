@@ -70,14 +70,16 @@ class Vocabulary:
     label_set: tuple[str, ...]
 
     @classmethod
-    def from_words(cls, words: Iterable[str]) -> "Vocabulary":
+    def from_words(cls, words: Iterable[str], letters: Iterable[str] = ()) -> "Vocabulary":
+        """*letters* widens the label set beyond the words' own characters."""
         unique = sorted(set(words))
         if not unique:
             raise ValueError("empty vocabulary")
-        for word in unique:
+        letters = set(letters)
+        for word in (*unique, *letters):
             if not word or any(ch.isspace() for ch in word):
                 raise ValueError(f"invalid vocabulary word: {word!r}")
-        chars = sorted({ch for word in unique for ch in word})
+        chars = sorted({ch for word in (*unique, *letters) for ch in word})
         return cls(
             words=tuple(unique),
             word_ids={word: i for i, word in enumerate(unique)},

@@ -304,9 +304,7 @@ def test_criterion_5_ctc_recursion_matches_enumeration():
             if len(key) == limit:
                 continue
             scores = scorer.candidate_scores([state], columns)[0]
-            children = scorer.extended_states(
-                [(state, col) for col in columns]
-            )
+            children = scorer.extended_states([state] * len(columns), columns=columns)
             split = math.exp(ctc_final(state))
             for col, child in zip(columns, children):
                 child_key = key + (col,)

@@ -244,6 +244,36 @@ def test_decode_malformed_model_is_data_error(workspace, capsys):
     assert "Traceback" not in err
 
 
+class _OpensAFile:
+    """Unpickling this calls ``open(marker, "w")``, which creates the file."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return open, (self.marker, "w")
+
+
+def test_model_file_cannot_run_code(workspace, capsys):
+    marker = workspace / "PWNED"
+    bad = workspace / "evil.lm"
+    bad.write_bytes(pickle.dumps(_OpensAFile(marker)))
+    code = main(
+        [
+            "decode",
+            "--posteriors", str(workspace / "data" / "utt_0000.tsv"),
+            "--lm-strategy", "char",
+            "--char-lm", str(bad),
+            "--out", str(workspace / "n.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "evil.lm: not a language-model file" in err
+    assert "Traceback" not in err
+    assert not marker.exists()
+
+
 def test_decode_out_of_inventory_counts_is_data_error(workspace, capsys):
     payload = pickle.loads((workspace / "char.lm").read_bytes())
     payload["counts"][1][(0,)][999] = 1  # a token the inventory lacks
@@ -321,6 +351,28 @@ def test_bench_reports_every_strategy_in_order(workspace):
     assert code == 0
     lines = (workspace / "report.tsv").read_text(encoding="utf-8").splitlines()
     assert [line.split("\t")[0] for line in lines[1:]] == strategies
+
+
+def test_bench_vocabulary_smaller_than_the_posterior_alphabet(tmp_path):
+    """Cut to 5 words, the vocabulary spells only some of the letters that
+    the corpus and the posteriors use; every strategy must still run."""
+    data = tmp_path / "data"
+    synth = ["synth", "--out-dir", str(data), "--vocab-size", "20", "--sentences", "50"]
+    assert main([*synth, "--utterances", "3", "--seed", "0"]) == 0
+    code = main(
+        [
+            "bench",
+            "--manifest", str(data / "manifest.tsv"),
+            "--corpus", str(data / "corpus.txt"),
+            "--vocab-sizes", "5",
+            "--repetitions", "3",
+            "--out", str(tmp_path / "report.tsv"),
+        ]
+    )
+    assert code == 0
+    lines = (tmp_path / "report.tsv").read_text(encoding="utf-8").splitlines()
+    strategies = [line.split("\t")[0] for line in lines[1:]]
+    assert strategies == ["none", "char", "multilevel", "lookahead"]
 
 
 def test_unknown_strategy_is_usage_error(workspace, capsys):

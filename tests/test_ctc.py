@@ -17,13 +17,12 @@ import pytest
 from beamfuse import (
     BLANK,
     EOS,
+    CtcBeam,
     CtcPrefixScorer,
     PosteriorMatrix,
-    ctc_brute_force,
-    ctc_brute_force_full,
     ctc_final,
-    greedy_decode,
 )
+from oracles import ctc_brute_force, ctc_brute_force_full, greedy_decode
 
 
 def uniform_matrix(frames=2, labels=("a", "b", BLANK)):
@@ -38,7 +37,7 @@ def random_matrix(rng, frames, labels):
 
 def extend(scorer, state, label):
     """Log prefix probability of *state* extended by *label*, and the new state."""
-    new = scorer.extended_states([(state, scorer.column(label))])[0]
+    new = scorer.extended_states([state], columns=[scorer.column(label)])[0]
     return new.log_prefix, new
 
 
@@ -221,7 +220,7 @@ def check_against_reference(mat, paths):
     states = [scorer.initial_state()] * len(paths)
     for step in range(len(paths[0])):
         columns = [scorer.column(path[step]) for path in paths]
-        extended = scorer.extended_states(list(zip(states, columns)))
+        extended = scorer.extended_states(states, columns=columns)
         for state, column, new in zip(states, columns, extended):
             nonblank, blank = reference_extension(scorer, state, column)
             assert_matches_reference(new.nonblank, nonblank)
@@ -267,7 +266,7 @@ def test_repeated_label_across_a_zero_frame():
     scorer = CtcPrefixScorer(mat)
     state = scorer.initial_state()
     for label in "aa":
-        state = scorer.extended_states([(state, scorer.column(label))])[0]
+        state = scorer.extended_states([state], columns=[scorer.column(label)])[0]
     assert math.exp(ctc_final(state)) == pytest.approx(
         ctc_brute_force_full(mat, ["a", "a"]), abs=1e-12
     )
@@ -279,10 +278,28 @@ def test_batched_extension_is_bitwise_equal_to_single():
     probs[[7, 8, 30]] = np.eye(len(LONG_LABELS))[[1, -1, 4]]
     scorer = CtcPrefixScorer(PosteriorMatrix(LONG_LABELS, probs))
     root = scorer.initial_state()
-    parents = scorer.extended_states([(root, 0), (root, 1), (root, 4)])
+    parents = scorer.extended_states([root] * 3, columns=[0, 1, 4])
     extensions = [(parent, col) for parent in parents for col in (0, 1, 2, 4)]
-    batch = scorer.extended_states(extensions)
-    for extension, state in zip(extensions, batch):
-        single = scorer.extended_states([extension])[0]
+    batch = scorer.extended_states(
+        [parent for parent, _ in extensions], columns=[col for _, col in extensions]
+    )
+    for (parent, col), state in zip(extensions, batch):
+        single = scorer.extended_states([parent], columns=[col])[0]
         assert np.array_equal(single.nonblank, state.nonblank)
         assert np.array_equal(single.blank, state.blank)
+
+
+def test_beam_of_one_state_round_trips_bitwise():
+    rng = np.random.default_rng(53)
+    scorer = CtcPrefixScorer(random_matrix(rng, 9, LONG_LABELS))
+    state = scorer.initial_state()
+    for label in "abba":
+        _, state = extend(scorer, state, label)
+    beam = CtcBeam.of([state])
+    assert CtcBeam.of(beam) is beam and len(beam) == 1
+    back = beam[0]
+    assert back.nonblank.tobytes() == state.nonblank.tobytes()
+    assert back.blank.tobytes() == state.blank.tobytes()
+    assert (back.last_column, back.log_prefix.hex(), back.length) == (
+        state.last_column, state.log_prefix.hex(), state.length,
+    )

@@ -25,6 +25,7 @@ from beamfuse import (
     to_char_labels,
     train_ngram,
 )
+from beamfuse import decoder as decoder_module
 
 LABELS = ("a", "c", "e", "s", "t", SPACE, BLANK)
 
@@ -222,7 +223,7 @@ def test_hypothesis_scores_replay(trained_char_lm):
     for hyp in result.hypotheses:
         state = ctc.initial_state()
         for label in hyp.labels:
-            state = ctc.extended_states([(state, ctc.column(label))])[0]
+            state = ctc.extended_states([state], columns=[ctc.column(label)])[0]
         assert ctc_final(state) == pytest.approx(hyp.ctc_score, abs=1e-9)
 
         lm_state = lm.initial_state()
@@ -381,7 +382,9 @@ def reference_decode(posteriors, lm, att, config):
                 )
         candidates.sort(key=lambda cand: (-cand[6], cand[0]))
         del candidates[config.beam_width :]
-        states = scorer.extended_states([(beam[c[1]][1], columns[c[2]]) for c in candidates])
+        states = scorer.extended_states(
+            [beam[c[1]][1] for c in candidates], columns=[columns[c[2]] for c in candidates]
+        )
         beam = [(c[0], state, *c[3:]) for c, state in zip(candidates, states)]
         if len(complete) == config.n_best and all(bound(h) < complete[-1][4] for h in beam):
             break
@@ -458,3 +461,60 @@ def test_exact_ties_break_on_labels():
     ranked = [(-h.joint, h.labels) for h in result.hypotheses]
     assert ranked == sorted(ranked)
     assert any(a[0] == b[0] for a, b in zip(ranked, ranked[1:]))
+
+
+def test_decode_keeps_the_call_shapes_the_tracer_wraps(
+    monkeypatch, trained_word_lm, tiny_vocab
+):
+    """The traced benchmark wraps these names and reads these arguments: one
+    ``candidate_scores(beam, columns)`` and one ``extended_states(survivors,
+    **keywords)`` per expansion step, and ``decoder.ctc_final`` once per
+    finished level, on the whole beam."""
+    calls = []
+
+    def counting(name, method):
+        def wrapper(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            calls.append((name, len(args), len(args[0]), len(out)))
+            return out
+
+        return wrapper
+
+    for name in ("candidate_scores", "extended_states"):
+        monkeypatch.setattr(CtcPrefixScorer, name, counting(name, getattr(CtcPrefixScorer, name)))
+    finals = []
+    monkeypatch.setattr(
+        decoder_module, "ctc_final", lambda beam: finals.append(len(beam)) or ctc_final(beam)
+    )
+    mat = random_matrix(np.random.default_rng(61), 6, LABELS)
+    # The n-best is never full, so the search cannot stop early.
+    config = DecodeConfig(beam_width=3, max_len=5, n_best=10_000)
+    decode(mat, LookAheadScorer(trained_word_lm, tiny_vocab), None, config)
+
+    assert [call[0] for call in calls] == ["candidate_scores", "extended_states"] * 5
+    live = 1
+    sizes = [live]
+    for (_, score_args, beam, scored), (_, extend_args, survivors, extended) in zip(
+        calls[::2], calls[1::2]
+    ):
+        assert (score_args, extend_args) == (2, 1)
+        assert beam == scored == live
+        assert 1 <= survivors == extended <= config.beam_width
+        live = survivors
+        sizes.append(live)
+    assert finals == sizes
+    for scorer in (CharLMScorer, MultiLevelScorer, LookAheadScorer):
+        assert callable(scorer.final)
+
+
+def test_returned_states_own_their_buffers(trained_char_lm):
+    """No finished hypothesis shares or pins another's CTC vectors, or the
+    beam block they were copied out of."""
+    mat = synth_posteriors(["cat"], LABELS, peak=0.8, seed=11)
+    config = DecodeConfig(ctc_weight=0.4, lm_weight=0.8, beam_width=5, n_best=4)
+    result = decode(mat, CharLMScorer(trained_char_lm), None, config)
+    assert len(result.hypotheses) == 4
+    arrays = [a for h in result.hypotheses for a in (h.ctc_state.nonblank, h.ctc_state.blank)]
+    for i, a in enumerate(arrays):
+        assert a.base is None
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])

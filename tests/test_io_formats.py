@@ -12,7 +12,6 @@ from beamfuse import (
     PosteriorMatrix,
     ctc_labels,
     decode,
-    greedy_decode,
     load_posteriors,
     save_posteriors,
     synth_posteriors,
@@ -20,6 +19,7 @@ from beamfuse import (
     to_char_labels,
     write_nbest,
 )
+from oracles import greedy_decode
 
 LABELS = ("a", "c", "e", "s", "t", SPACE, BLANK)
 
