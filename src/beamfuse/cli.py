@@ -85,6 +85,10 @@ def cmd_decode(args) -> int:
         if getattr(args, name) is None:
             flag = "--" + name.replace("_", "-")
             return _usage_error(f"{flag} is required for strategy {args.lm_strategy!r}")
+    try:
+        config = _decode_config(args, max_len=args.max_len, n_best=args.n_best)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     vocab = load_vocabulary(args.vocab) if args.vocab else None
     inputs = {**vars(args), "vocab": vocab}
     for name in ("char_lm", "word_lm"):
@@ -92,7 +96,6 @@ def cmd_decode(args) -> int:
             inputs[name] = load_model(inputs[name])
     lm = _build_lm(args.lm_strategy, inputs)
     att = CharLMScorer(load_model(args.att_lm)) if args.att_lm else None
-    config = _decode_config(args, max_len=args.max_len, n_best=args.n_best)
     expected = ctc_labels(vocab) if vocab is not None else None
     results = []
     for path in args.posteriors:
@@ -125,10 +128,16 @@ def cmd_bench(args) -> int:
     for strategy in strategies:
         if strategy not in STRATEGIES:
             return _usage_error(f"unknown strategy {strategy!r}")
+    try:
+        config = _decode_config(args)
+        sizes = [int(size) for size in args.vocab_sizes.split(",")]
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if min(sizes) < 1:
+        return _usage_error("--vocab-sizes must be >= 1")
     entries = _load_manifest(Path(args.manifest))
     utterances = [(load_posteriors(path), ref) for path, ref in entries]
     sentences = load_corpus(args.corpus)
-    sizes = [int(size) for size in args.vocab_sizes.split(",")]
     # Whatever the word vocabulary is cut down to, its letters must cover
     # the corpus (the character LM spells all of it) and the posteriors.
     letters = {ch for sentence in sentences for word in sentence for ch in word}
@@ -148,7 +157,6 @@ def cmd_bench(args) -> int:
             if strategy != bench_mod.BASELINE:
                 lm = _build_lm(strategy, inputs)
                 systems.append(bench_mod.BenchSystem(strategy, vocab.spelled_count, lm))
-    config = _decode_config(args)
     rows = bench_mod.run_benchmark(utterances, systems, config, args.repetitions)
     bench_mod.write_report(rows, args.out)
     print(bench_mod.format_report(rows), end="")
@@ -204,13 +212,12 @@ def _decode_config(args, **extra) -> DecodeConfig:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beamfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    orders = range(1, MAX_ORDER + 1)
 
     train = sub.add_parser("train-lm", help="train a Witten-Bell n-gram model")
     train.add_argument("--corpus", required=True)
     train.add_argument("--vocab", help="vocabulary file; required for word level")
-    train.add_argument(
-        "--order", type=int, choices=range(1, MAX_ORDER + 1), required=True
-    )
+    train.add_argument("--order", type=int, choices=orders, required=True)
     train.add_argument("--level", choices=("word", "char"), required=True)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train_lm)
@@ -235,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--corpus", required=True, help="LM training text")
     ben.add_argument("--strategies", default=",".join(STRATEGIES))
     ben.add_argument("--vocab-sizes", default="1000")
-    ben.add_argument("--word-order", type=int, default=2)
-    ben.add_argument("--char-order", type=int, default=3)
+    ben.add_argument("--word-order", type=int, choices=orders, default=2)
+    ben.add_argument("--char-order", type=int, choices=orders, default=3)
     ben.add_argument("--repetitions", type=int, default=3)
     _add_decode_flags(ben, beam_width=8)
     ben.add_argument("--out", required=True)

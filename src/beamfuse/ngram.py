@@ -3,7 +3,8 @@
 Models answer the queries fused decoding needs: the probability of one
 token after a context, the full next-token distribution for a context, and
 two cached forms of it, cumulative sums (read by the prefix-tree look-ahead)
-and natural logs (read by character fusion).  Probabilities at context
+and natural logs (read by character fusion; each log row interpolates one
+level over a memoized row of the shorter context).  Probabilities at context
 length m interpolate the maximum-likelihood estimate with the next-shorter
 context using weights n/(n+t), where n counts tokens observed after the
 context and t counts distinct continuation types; the recursion bottoms out
@@ -54,7 +55,7 @@ class NGramModel:
         tokens: Sequence[str],
         counts: list[dict[tuple[int, ...], dict[int, int]]] | None = None,
     ):
-        if not 1 <= order <= MAX_ORDER:
+        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         if level not in ("word", "char"):
             raise ValueError(f"level must be 'word' or 'char', got {level!r}")
@@ -66,7 +67,6 @@ class NGramModel:
             raise ValueError("duplicate tokens in inventory")
         if not self.tokens:
             raise ValueError("empty token inventory")
-        self._base = 1.0 / len(self.tokens)
         self._counts = counts if counts is not None else [{} for _ in range(order)]
         if len(self._counts) != order:
             raise ValueError("count tables do not match model order")
@@ -85,7 +85,10 @@ class NGramModel:
             {ctx: sum(table.values()) for ctx, table in level_counts.items()}
             for level_counts in self._counts
         ]
-        self._unigram = self._build_unigram()
+        # The uniform base distribution interpolated with the unigram counts.
+        self._unigram = self._interpolate(np.full(len(self.tokens), 1.0 / len(self.tokens)), ())
+        self._unigram.flags.writeable = False
+        self._backoff_rows: dict[tuple[int, ...], np.ndarray] = {}
         self.cumsums = lru_cache(maxsize=ROW_CACHE_SIZE)(self._cumsums_uncached)
         self.log_rows = lru_cache(maxsize=ROW_CACHE_SIZE)(self._log_row_uncached)
 
@@ -115,18 +118,36 @@ class NGramModel:
     def full_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Next-token distribution as a fresh vector indexed by token ID."""
         context = self._truncate(context)
-        dist = self._unigram.copy()
+        dist = self._unigram
         for m in range(1, len(context) + 1):
-            ctx = context[len(context) - m:]
-            table = self._counts[m].get(ctx)
-            if table is None:
-                continue
-            types = len(table)
-            dist *= types
-            for token, count in table.items():
-                dist[token] += count
-            dist /= self._totals[m][ctx] + types
+            dist = self._interpolate(dist, context[len(context) - m:])
+        return dist.copy() if dist is self._unigram else dist
+
+    def _interpolate(self, lower: np.ndarray, ctx: tuple[int, ...]) -> np.ndarray:
+        """One Witten-Bell level over *lower*, the distribution after ``ctx[1:]``:
+        a new vector, or *lower* itself when *ctx* was never observed."""
+        table = self._counts[len(ctx)].get(ctx)
+        if table is None:
+            return lower
+        types = len(table)
+        dist = lower * types
+        for token, count in table.items():
+            dist[token] += count
+        dist /= self._totals[len(ctx)][ctx] + types
         return dist
+
+    def _backoff(self, ctx: tuple[int, ...]) -> np.ndarray:
+        """Read-only distribution after *ctx*, shorter than ``order - 1``; kept
+        for observed contexts only, an unobserved one shares its suffix's row."""
+        row = self._backoff_rows.get(ctx)
+        if row is None:
+            if not ctx:
+                return self._unigram
+            row = self._interpolate(self._backoff(ctx[1:]), ctx)
+            if ctx in self._counts[len(ctx)]:
+                row.flags.writeable = False
+                self._backoff_rows[ctx] = row
+        return row
 
     def _cumsums_uncached(self, context: tuple[int, ...]) -> np.ndarray:
         return cumulative_sums(self.full_distribution(context))
@@ -134,7 +155,9 @@ class NGramModel:
     def _log_row_uncached(self, context: tuple[int, ...]) -> np.ndarray:
         # Bitwise math.log(self.prob(token, context)) (np.log can differ in the
         # last bit).  As wide as the inventory, so word fusion does not use it.
-        row = np.array([math.log(p) for p in self.full_distribution(context).tolist()])
+        ctx = self._truncate(context)
+        dist = self._interpolate(self._backoff(ctx[1:]), ctx) if ctx else self._unigram
+        row = np.array([math.log(p) for p in dist.tolist()])
         row.flags.writeable = False
         return row
 
@@ -147,26 +170,6 @@ class NGramModel:
     def cumulative_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Cached cumulative sums for *context*; do not mutate the result."""
         return self.cumsums(self._truncate(context))
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def uniform(cls, order: int, level: str, tokens: Sequence[str]) -> "NGramModel":
-        """Untrained model assigning 1/|inventory| everywhere."""
-        return cls(order, level, tokens)
-
-    def _build_unigram(self) -> np.ndarray:
-        vec = np.full(len(self.tokens), self._base)
-        table = self._counts[0].get(())
-        if table:
-            types = len(table)
-            counts = np.zeros(len(self.tokens))
-            for token, count in table.items():
-                counts[token] = count
-            vec = (counts + types * self._base) / (self._totals[0][()] + types)
-        return vec
 
 
 def _count_ngrams(

@@ -76,19 +76,3 @@ class PrefixTree:
         """Word ID when the path to *node* spells a complete word, else None."""
         word_id = int(self.word_id[node])
         return word_id if word_id >= 0 else None
-
-    def children(self, node: int) -> dict[str, int]:
-        """Label-to-child map of *node*, in label order."""
-        return {k: c for k, c in zip(self.labels, self.child[node].tolist()) if c >= 0}
-
-    def dump_lines(self) -> list[str]:
-        """One line per node: path, interval bounds, and word end or ``-``."""
-        lines = []
-        stack = [(self.ROOT, "")]
-        while stack:
-            node, path = stack.pop()
-            word = self.word_id[node]
-            lines.append(f"{path}\t{self.lo[node]}\t{self.hi[node]}\t{'-' if word < 0 else word}")
-            for label, child in reversed(self.children(node).items()):
-                stack.append((child, path + label))
-        return lines

@@ -21,13 +21,13 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def uniform_char_lm(tiny_vocab) -> NGramModel:
     # 7 labels: a c e s t <space> <eos>, each 1/7
-    return NGramModel.uniform(2, "char", tiny_vocab.label_set)
+    return NGramModel(2, "char", tiny_vocab.label_set)
 
 
 @pytest.fixture(scope="session")
 def uniform_word_lm(tiny_vocab) -> NGramModel:
     # 5 tokens: a cat eats <UNK> <eos>, each 1/5
-    return NGramModel.uniform(2, "word", tiny_vocab.lm_tokens)
+    return NGramModel(2, "word", tiny_vocab.lm_tokens)
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from beamfuse import (
 )
 from beamfuse.bench import BenchSystem, run_benchmark
 from beamfuse.cli import main as cli_main
+from tree_walk import children
 
 
 def _report(number: int, description: str, passed: bool, detail: str) -> None:
@@ -68,7 +69,7 @@ def _node_paths_and_word_lists(tree, vocab):
     while stack:
         node, path = stack.pop()
         paths.append((node, path))
-        for label, child in tree.children(node).items():
+        for label, child in children(tree, node).items():
             stack.append((child, path + label))
     by_path = {path: [] for _, path in paths}
     for word_id, word in enumerate(vocab.words):
@@ -215,7 +216,7 @@ def test_criterion_4_lookahead_local_normalization():
         while stack:
             node = stack.pop()
             paths.append(node)
-            stack.extend(tree.children(node).values())
+            stack.extend(children(tree, node).values())
         node_index = {node: i for i, node in enumerate(paths)}
         intervals = np.array([tree.interval(node) for node in paths])
         los, his = intervals[:, 0], intervals[:, 1]
@@ -224,7 +225,7 @@ def test_criterion_4_lookahead_local_normalization():
         )
         child_parent, child_lo, child_hi = [], [], []
         for i, node in enumerate(paths):
-            for child in tree.children(node).values():
+            for child in children(tree, node).values():
                 lo, hi = tree.interval(child)
                 child_parent.append(i)
                 child_lo.append(lo)
@@ -304,9 +305,9 @@ def test_criterion_5_ctc_recursion_matches_enumeration():
             if len(key) == limit:
                 continue
             scores = scorer.candidate_scores([state], columns)[0]
-            children = scorer.extended_states([state] * len(columns), columns=columns)
+            child_states = scorer.extended_states([state] * len(columns), columns=columns)
             split = math.exp(ctc_final(state))
-            for col, child in zip(columns, children):
+            for col, child in zip(columns, child_states):
                 child_key = key + (col,)
                 got = math.exp(scores[col])
                 worst_prefix = max(

@@ -389,6 +389,37 @@ def test_unknown_strategy_is_usage_error(workspace, capsys):
     assert "unknown strategy 'turbo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("bench", "--char-order", "9"),
+        ("bench", "--word-order", "0"),
+        ("bench", "--vocab-sizes", "0"),
+        ("bench", "--vocab-sizes", "ten"),
+        ("bench", "--beam-width", "0"),
+        ("decode", "--beam-width", "0"),
+        ("decode", "--n-best", "0"),
+        ("decode", "--ctc-weight", "1.5"),
+    ],
+)
+def test_out_of_range_flag_values_exit_one(workspace, capsys, command, flag, value):
+    data = workspace / "data"
+    inputs = {
+        "bench": ["--manifest", str(data / "manifest.tsv"), "--corpus", str(data / "corpus.txt")],
+        "decode": ["--posteriors", str(data / "utt_0000.tsv")],
+    }
+    args = [command, *inputs[command], flag, value, "--out", str(workspace / "flag.txt")]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects values outside its choices
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
+    assert not (workspace / "flag.txt").exists()
+
+
 def test_argparse_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["decode", "--lm-strategy", "bogus", "--out", "x"])

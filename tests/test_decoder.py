@@ -146,7 +146,7 @@ def test_multilevel_early_stop_is_exact():
     vocab = Vocabulary.from_words(["a", "ab", "b", "ba", long_word])
     words = train_ngram([[long_word]] * 20 + [["a", "b"], ["ba", "ab"]], 2, "word", vocab)
     char_models = [
-        NGramModel.uniform(2, "char", vocab.label_set),
+        NGramModel(2, "char", vocab.label_set),
         train_ngram([["a", "ab", "ba", "b", "abab", "c"]] * 5, 3, "char", vocab),
     ]
     labels = ("a", "b", "c", SPACE, BLANK)

@@ -33,6 +33,7 @@ from beamfuse import (
     train_ngram,
 )
 from beamfuse.fusion import LookAheadState
+from tree_walk import children
 
 LOG7 = math.log(1 / 7)
 LOG5 = math.log(1 / 5)
@@ -286,13 +287,13 @@ def test_lookahead_children_masses_locally_normalize(la, tiny_vocab):
         node = stack.pop()
         mass = lookahead_prob(tree, node, sums)
         share = sum(
-            lookahead_prob(tree, child, sums) for child in tree.children(node).values()
+            lookahead_prob(tree, child, sums) for child in children(tree, node).values()
         )
         word_id = tree.word_end(node)
         if word_id is not None:
             share += la.word_model.prob(word_id, ())
         assert share == pytest.approx(mass, abs=1e-12)
-        stack.extend(tree.children(node).values())
+        stack.extend(children(tree, node).values())
 
 
 def test_lookahead_trained_history_conditions_mass(trained_word_lm, tiny_vocab):

@@ -21,10 +21,12 @@ import pytest
 
 from beamfuse import (
     EOS,
+    MarkovText,
     NGramModel,
     cumulative_sums,
     load_model,
     save_model,
+    synth_vocabulary,
     train_ngram,
 )
 from beamfuse.ngram import ROW_CACHE_SIZE
@@ -132,8 +134,109 @@ def test_log_row_cache_has_the_cumsum_cache_size(tiny_vocab):
     assert model.cumsums.cache_parameters()["maxsize"] == ROW_CACHE_SIZE
 
 
+def _reference_distribution(model, context):
+    """The per-context Witten-Bell loop that backoff rows replaced: every
+    level folded from the unigram, with nothing cached."""
+    context = tuple(context[-(model.order - 1):]) if model.order > 1 else ()
+    dist = model._unigram.copy()
+    for m in range(1, len(context) + 1):
+        ctx = context[len(context) - m:]
+        table = model._counts[m].get(ctx)
+        if table is None:
+            continue
+        types = len(table)
+        dist *= types
+        for token, count in table.items():
+            dist[token] += count
+        dist /= model._totals[m][ctx] + types
+    return dist
+
+
+def _assert_rows_match_reference(model, contexts):
+    for ctx in contexts:
+        expected = _reference_distribution(model, ctx).tolist()
+        dist = model.full_distribution(ctx)
+        assert list(map(float.hex, dist.tolist())) == list(map(float.hex, expected))
+        logs = model.log_rows(tuple(ctx)).tolist()
+        assert list(map(float.hex, logs)) == [float.hex(math.log(p)) for p in expected]
+        dist[:] = 0.0  # a fresh vector: writing it changes no later row
+
+
+def _backoff_contexts(model):
+    """Observed contexts shorter than order - 1, the only ones the memo may hold."""
+    return {ctx for m in range(1, model.order - 1) for ctx in model._counts[m]}
+
+
+@pytest.fixture(scope="module")
+def char_5gram():
+    words = synth_vocabulary(60, seed=4, alphabet="abcdef")
+    sentences = MarkovText(words, seed=5).sentences(120, 2, 6, seed=6)
+    return train_ngram(sentences, 5, "char")
+
+
+def test_log_rows_match_the_reference_loop_on_a_char_5gram(char_5gram):
+    model = char_5gram
+    rng = np.random.default_rng(12)
+    observed = [ctx for level in model._counts[1:] for ctx in level]
+    unobserved = [tuple(int(c) for c in rng.integers(0, len(model.tokens), size=4))
+                  for _ in range(200)]
+    assert any(ctx not in model._counts[4] for ctx in unobserved)
+    short = [ctx[-m:] for ctx in observed[::7] for m in range(len(ctx) + 1)]
+    _assert_rows_match_reference(model, observed + unobserved + short + [()])
+    assert set(model._backoff_rows) <= _backoff_contexts(model)
+    assert model._backoff_rows  # the 5-gram did memoize its backoff rows
+
+
+def test_observed_context_with_an_unobserved_suffix():
+    """Hand-built: (2, 0, 1) is observed but (0, 1) is not, and (3, 4) is
+    observed but (4,) is not; both levels fall through to the shorter row."""
+    counts = [
+        {(): {0: 3, 1: 2, 2: 1, 3: 1, 4: 1}},
+        {(1,): {2: 2, 0: 1}, (0,): {1: 1}},
+        {(3, 4): {0: 4}},
+        {(2, 0, 1): {3: 1, 4: 2}},
+        {(3, 2, 0, 1): {1: 5}},
+    ]
+    model = NGramModel(5, "char", ["a", "b", "c", "d", "e"], counts=counts)
+    contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
+    _assert_rows_match_reference(model, contexts)
+    assert set(model._backoff_rows) == {(1,), (0,), (3, 4), (2, 0, 1)}
+    assert (0, 1) not in model._backoff_rows and (4,) not in model._backoff_rows
+
+
+def test_backoff_memo_rows_are_read_only(char_5gram):
+    for ctx in list(char_5gram._counts[4])[:50]:
+        char_5gram.log_rows(ctx)
+    assert char_5gram._backoff_rows
+    for row in char_5gram._backoff_rows.values():
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+def test_backoff_memo_holds_at_most_the_observed_short_contexts(char_5gram):
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        ctx = tuple(int(c) for c in rng.integers(0, len(char_5gram.tokens), size=4))
+        char_5gram.log_rows(ctx)
+    for ctx in char_5gram._counts[4]:
+        char_5gram.log_rows(ctx)
+    allowed = _backoff_contexts(char_5gram)
+    assert set(char_5gram._backoff_rows) <= allowed
+    assert len(char_5gram._backoff_rows) <= len(allowed)
+
+
+def test_bigram_word_model_memoizes_nothing(trained_word_lm):
+    model = trained_word_lm
+    for ctx in [()] + [(token,) for token in range(len(model.tokens))]:
+        model.log_rows(ctx)
+        model.full_distribution(ctx)
+        model.cumulative_distribution(ctx)
+    assert model._backoff_rows == {}
+
+
 def test_uniform_model():
-    model = NGramModel.uniform(2, "word", ("x", "y", "z", "<UNK>", EOS))
+    model = NGramModel(2, "word", ("x", "y", "z", "<UNK>", EOS))
     for token in range(5):
         assert model.prob(token, ()) == pytest.approx(0.2, abs=1e-15)
         assert model.prob(token, (1,)) == pytest.approx(0.2, abs=1e-15)
@@ -161,9 +264,11 @@ def test_word_level_requires_vocabulary():
 
 def test_order_bounds():
     with pytest.raises(ValueError):
-        NGramModel.uniform(0, "word", ("a", EOS))
+        NGramModel(0, "word", ("a", EOS))
     with pytest.raises(ValueError):
-        NGramModel.uniform(6, "word", ("a", EOS))
+        NGramModel(6, "word", ("a", EOS))
+    with pytest.raises(ValueError):  # a model file's 2.0 would slice contexts with a float
+        NGramModel(2.0, "word", ("a", EOS))
 
 
 def test_empty_corpus_rejected(tiny_vocab):

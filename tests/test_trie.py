@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamfuse import PrefixTree, Vocabulary
+from tree_walk import children, dump_lines
 
 
 def _walk(tree, word):
@@ -83,7 +84,7 @@ def test_intervals_match_startswith_enumeration():
             expected_end = vocab.word_ids.get(path)
             assert tree.word_end(node) == expected_end
             spelled.add(path)
-            for label, child in tree.children(node).items():
+            for label, child in children(tree, node).items():
                 stack.append((child, path + label))
         assert spelled == {w[:end] for w in vocab.words for end in range(len(w) + 1)}
 
@@ -96,7 +97,7 @@ def test_len_counts_nodes():
 
 def test_dump_lines_format(tiny_vocab):
     tree = PrefixTree.build(tiny_vocab)
-    lines = tree.dump_lines()
+    lines = dump_lines(tree)
     assert lines[0] == "\t0\t2\t-"
     assert "a\t0\t0\t0" in lines
     assert "cat\t1\t1\t1" in lines
