@@ -114,8 +114,10 @@ def _load_manifest(path: Path) -> list[tuple[Path, list[str]]]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ValueError(f"{path}:{number}: expected 'posterior_path<TAB>reference'")
-        posterior = path.parent / fields[0]
-        entries.append((posterior, fields[1].split()))
+        reference = fields[1].split()
+        if not reference:
+            raise ValueError(f"{path}:{number}: empty reference")
+        entries.append((path.parent / fields[0], reference))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -254,35 +254,36 @@ class LookAheadScorer(_WordScorer):
         self.tree = PrefixTree.build(vocab)
         self.labels = frozenset(vocab.label_set)
         self._columns = {**self.tree.columns, **dict.fromkeys(WORD_END_LABELS, -1)}
+        self._off_tree = np.zeros(len(self.tree.labels) + 1)
+        self._unigram_sums = word_model.cumulative_distribution(())
+        self._unigram_rows: dict[int, np.ndarray] = {}
 
     def initial_state(self, word_history: Sequence[int] = ()) -> LookAheadState:
         return self._root_state(self._clip(tuple(word_history)))
 
     def score_all(self, states: Sequence[LookAheadState], labels: Sequence[str]) -> np.ndarray:
-        tree = self.tree
         columns = _token_ids(self._columns, labels)  # tree column; -1 for a word end
-        # A letter costs the child's anticipated-word mass over the node's,
-        # or the OOV charge when no vocabulary word continues the spelling;
-        # off the tree that charge is already paid.  Off-tree states (node
-        # -1) and word-end columns gather entries that are never read.
-        children = tree.child[[-1 if s.node is None else s.node for s in states]][:, columns]
-        upper, lower = tree.hi[children] + 1, tree.lo[children]
-        rows = []
-        for state, kids, up, low in zip(states, children.tolist(), upper, lower):
-            empty = state.node == PrefixTree.ROOT
-            end = math.nan if empty else -1 in columns and self._close_word(state)[0]
-            if state.node is None:
-                rows.append([end if column < 0 else 0.0 for column in columns])
-                continue
+        return np.array([self._scores(s) for s in states])[:, columns]
+
+    def _scores(self, state: LookAheadState) -> np.ndarray:
+        """Each tree column's score for *state*, then the word end's: a letter
+        costs the child's anticipated-word mass over the node's, or the OOV
+        charge when no word continues the spelling (off the tree, already paid).
+        Kept per node for states on the unigram's sums, shared by every unseen history."""
+        if state.node is None:
+            return self._off_tree
+        shared = state.sums is self._unigram_sums
+        row = self._unigram_rows.get(state.node) if shared else None
+        if row is None:
+            kids = self.tree.child[state.node]
+            mass = (state.sums[self.tree.hi[kids] + 1] - state.sums[self.tree.lo[kids]]).tolist()
             base, unk = state.node_log_mass, state.unk_logp
-            mass = (state.sums[up] - state.sums[low]).tolist()
-            rows.append(
-                [
-                    end if column < 0 else unk if kid < 0 else math.log(m) - base
-                    for column, kid, m in zip(columns, kids, mass)
-                ]
-            )
-        return np.array(rows).reshape(len(states), len(labels))
+            row = [unk if kid < 0 else math.log(m) - base for kid, m in zip(kids.tolist(), mass)]
+            row.append(math.nan if state.node == PrefixTree.ROOT else self._close_word(state)[0])
+            row = np.array(row)
+            if shared:
+                self._unigram_rows[state.node] = row
+        return row
 
     def advance(self, state: LookAheadState, label: str) -> LookAheadState:
         if label in WORD_END_LABELS:

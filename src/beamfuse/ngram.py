@@ -2,14 +2,14 @@
 
 Models answer the queries fused decoding needs: the probability of one
 token after a context, the full next-token distribution for a context, and
-two cached forms of it, cumulative sums (read by the prefix-tree look-ahead)
-and natural logs (read by character fusion; each log row interpolates one
-level over a memoized row of the shorter context).  Probabilities at context
+two cached read-only forms of it: cumulative sums for the prefix-tree
+look-ahead, as many rows as fit in ``ROW_CACHE_BYTES``, and natural logs for
+character fusion, one row per observed context.  An unobserved context
+shares the row of its longest observed suffix.  Probabilities at context
 length m interpolate the maximum-likelihood estimate with the next-shorter
 context using weights n/(n+t), where n counts tokens observed after the
-context and t counts distinct continuation types; the recursion bottoms out
-in a uniform distribution over the token inventory, which keeps every
-probability strictly positive and every distribution normalized.
+context and t distinct continuation types; the recursion ends in a uniform
+distribution, so every probability is positive and every row sums to one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _FORMAT = "beamfuse-ngram"
 _VERSION = 1
 
 MAX_ORDER = 5
-ROW_CACHE_SIZE = 256  # contexts whose cumulative sums and log rows stay cached
+ROW_CACHE_BYTES = 4 * 2**20  # what a model's cached cumulative-sum rows may take
 
 
 class NGramModel:
@@ -89,8 +89,10 @@ class NGramModel:
         self._unigram = self._interpolate(np.full(len(self.tokens), 1.0 / len(self.tokens)), ())
         self._unigram.flags.writeable = False
         self._backoff_rows: dict[tuple[int, ...], np.ndarray] = {}
-        self.cumsums = lru_cache(maxsize=ROW_CACHE_SIZE)(self._cumsums_uncached)
-        self.log_rows = lru_cache(maxsize=ROW_CACHE_SIZE)(self._log_row_uncached)
+        row_cache = lru_cache(ROW_CACHE_BYTES // (8 * len(self.tokens) + 8))
+        self.cumsums = row_cache(self._cumsums_uncached)
+        # No more keys than observed contexts, so never more rows.
+        self.log_rows = lru_cache(1 + sum(map(len, self._counts[1:])))(self._log_row_uncached)
 
     # ------------------------------------------------------------------
     # queries
@@ -137,25 +139,32 @@ class NGramModel:
         return dist
 
     def _backoff(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """Read-only distribution after *ctx*, shorter than ``order - 1``; kept
-        for observed contexts only, an unobserved one shares its suffix's row."""
-        row = self._backoff_rows.get(ctx)
-        if row is None:
-            if not ctx:
-                return self._unigram
+        """Read-only distribution after *ctx*, shorter than ``order - 1``, kept
+        once per observed context; an unobserved one shares its suffix's row."""
+        ctx = self._observed(ctx)
+        if ctx and ctx not in self._backoff_rows:
             row = self._interpolate(self._backoff(ctx[1:]), ctx)
-            if ctx in self._counts[len(ctx)]:
-                row.flags.writeable = False
-                self._backoff_rows[ctx] = row
-        return row
+            row.flags.writeable = False
+            self._backoff_rows[ctx] = row
+        return self._backoff_rows.get(ctx, self._unigram)
+
+    def _observed(self, ctx: tuple[int, ...]) -> tuple[int, ...]:
+        """Longest suffix of *ctx* seen in training: its distribution, bit for bit."""
+        while ctx and ctx not in self._counts[len(ctx)]:
+            ctx = ctx[1:]
+        return ctx
 
     def _cumsums_uncached(self, context: tuple[int, ...]) -> np.ndarray:
-        return cumulative_sums(self.full_distribution(context))
+        row = cumulative_sums(self.full_distribution(context))
+        row.flags.writeable = False
+        return row
 
     def _log_row_uncached(self, context: tuple[int, ...]) -> np.ndarray:
         # Bitwise math.log(self.prob(token, context)) (np.log can differ in the
         # last bit).  As wide as the inventory, so word fusion does not use it.
-        ctx = self._truncate(context)
+        ctx = self._observed(self._truncate(context))
+        if ctx != context:
+            return self.log_rows(ctx)
         dist = self._interpolate(self._backoff(ctx[1:]), ctx) if ctx else self._unigram
         row = np.array([math.log(p) for p in dist.tolist()])
         row.flags.writeable = False
@@ -168,8 +177,8 @@ class NGramModel:
         return tuple(context[-keep:])
 
     def cumulative_distribution(self, context: Sequence[int]) -> np.ndarray:
-        """Cached cumulative sums for *context*; do not mutate the result."""
-        return self.cumsums(self._truncate(context))
+        """Cached read-only cumulative sums, keyed by the observed suffix."""
+        return self.cumsums(self._observed(self._truncate(context)))
 
 
 def _count_ngrams(

@@ -309,6 +309,25 @@ def test_bench_requires_three_repetitions(workspace, capsys):
     assert "--repetitions" in capsys.readouterr().err
 
 
+def test_bench_rejects_an_empty_reference_before_decoding(workspace, capsys):
+    data = workspace / "data"
+    manifest = workspace / "empty-reference.tsv"
+    first = (data / "manifest.tsv").read_text(encoding="utf-8").splitlines()[0]
+    # Outside data/, the first line names a posterior file that does not
+    # exist, so the message shows the manifest was refused before any read.
+    manifest.write_text(f"{first}\nutt_0009.tsv\t \n", encoding="utf-8")
+    code = main(
+        [
+            "bench",
+            "--manifest", str(manifest),
+            "--corpus", str(data / "corpus.txt"),
+            "--out", str(workspace / "report.tsv"),
+        ]
+    )
+    assert code == 2
+    assert f"{manifest}:2: empty reference" in capsys.readouterr().err
+
+
 def test_bench_report_shape(workspace):
     data = workspace / "data"
     code = main(

@@ -479,6 +479,20 @@ def test_score_all_is_bitwise_the_per_label_rule(
     assert kinds == {"root", "in", "off"}
 
 
+def test_lookahead_keeps_scores_once_per_node_on_the_unigram_row(trained_word_lm, tiny_vocab):
+    """States whose history shares the unigram's row (no word, <UNK>) read
+    one kept row per node; an observed history ("a") keeps nothing."""
+    scorer = LookAheadScorer(trained_word_lm, tiny_vocab)
+    states = _reachable_states(scorer)
+    labels = list(tiny_vocab.label_set)
+    first = scorer.score_all(states, labels)
+    assert np.array_equal(scorer.score_all(states, labels), first, equal_nan=True)
+    unigram = trained_word_lm.cumulative_distribution(())
+    shared = {s.node for s in states if s.node is not None and s.sums is unigram}
+    assert shared and set(scorer._unigram_rows) == shared
+    assert any(s.sums is not unigram for s in states)
+
+
 def test_score_all_rejects_unknown_labels(
     uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
 ):

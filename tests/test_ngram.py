@@ -29,7 +29,7 @@ from beamfuse import (
     synth_vocabulary,
     train_ngram,
 )
-from beamfuse.ngram import ROW_CACHE_SIZE
+from beamfuse.ngram import ROW_CACHE_BYTES
 
 CORPUS = [["a", "cat", "eats"]]
 
@@ -109,6 +109,14 @@ def test_cumulative_distribution_is_cached(trained_word_lm, tiny_vocab):
     assert (np.diff(a) >= 0.0).all()
 
 
+def test_cumulative_sum_rows_are_read_only():
+    model = NGramModel(2, "word", ["a", "b", "<UNK>", EOS])
+    row = model.cumulative_distribution(())
+    with pytest.raises(ValueError):
+        row[1] = 5
+    assert model.cumulative_distribution(()).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_log_rows_are_bitwise_logs_of_prob(
     trained_char_lm, uniform_char_lm, trained_word_lm, uniform_word_lm
 ):
@@ -128,10 +136,16 @@ def test_log_rows_are_cached_and_read_only(trained_char_lm):
         row[0] = 0.0
 
 
-def test_log_row_cache_has_the_cumsum_cache_size(tiny_vocab):
-    model = NGramModel(2, "char", tiny_vocab.label_set)
-    assert model.log_rows.cache_parameters()["maxsize"] == ROW_CACHE_SIZE
-    assert model.cumsums.cache_parameters()["maxsize"] == ROW_CACHE_SIZE
+def test_cumsum_cache_is_bounded_by_bytes():
+    """A 20k-token model caches 26 rows of 20,003 floats, not 256."""
+    tokens = [f"w{i}" for i in range(20000)] + ["<UNK>", EOS]
+    counts = [{(): dict.fromkeys(range(len(tokens)), 1)}, {(i,): {i + 1: 1} for i in range(40)}]
+    model = NGramModel(2, "word", tokens, counts=counts)
+    maxsize = model.cumsums.cache_parameters()["maxsize"]
+    assert 0 < maxsize * 8 * (len(tokens) + 1) <= ROW_CACHE_BYTES
+    for i in range(40):
+        row = model.cumulative_distribution((i,))
+    assert model.cumsums.cache_info().currsize * row.nbytes <= ROW_CACHE_BYTES
 
 
 def _reference_distribution(model, context):
@@ -159,6 +173,8 @@ def _assert_rows_match_reference(model, contexts):
         assert list(map(float.hex, dist.tolist())) == list(map(float.hex, expected))
         logs = model.log_rows(tuple(ctx)).tolist()
         assert list(map(float.hex, logs)) == [float.hex(math.log(p)) for p in expected]
+        sums = model.cumulative_distribution(ctx).tolist()
+        assert list(map(float.hex, sums)) == list(map(float.hex, cumulative_sums(dist).tolist()))
         dist[:] = 0.0  # a fresh vector: writing it changes no later row
 
 
@@ -187,9 +203,9 @@ def test_log_rows_match_the_reference_loop_on_a_char_5gram(char_5gram):
     assert model._backoff_rows  # the 5-gram did memoize its backoff rows
 
 
-def test_observed_context_with_an_unobserved_suffix():
-    """Hand-built: (2, 0, 1) is observed but (0, 1) is not, and (3, 4) is
-    observed but (4,) is not; both levels fall through to the shorter row."""
+def _hand_built_5gram():
+    """(2, 0, 1) is observed but (0, 1) is not, and (3, 4) is observed but
+    (4,) is not."""
     counts = [
         {(): {0: 3, 1: 2, 2: 1, 3: 1, 4: 1}},
         {(1,): {2: 2, 0: 1}, (0,): {1: 1}},
@@ -197,11 +213,38 @@ def test_observed_context_with_an_unobserved_suffix():
         {(2, 0, 1): {3: 1, 4: 2}},
         {(3, 2, 0, 1): {1: 5}},
     ]
-    model = NGramModel(5, "char", ["a", "b", "c", "d", "e"], counts=counts)
+    return NGramModel(5, "char", ["a", "b", "c", "d", "e"], counts=counts)
+
+
+def test_observed_context_with_an_unobserved_suffix():
+    """Both levels fall through to the shorter row."""
+    model = _hand_built_5gram()
     contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
     _assert_rows_match_reference(model, contexts)
-    assert set(model._backoff_rows) == {(1,), (0,), (3, 4), (2, 0, 1)}
-    assert (0, 1) not in model._backoff_rows and (4,) not in model._backoff_rows
+    # Only the suffixes an observed longer context backs off to: (3, 2, 0, 1)
+    # reads (2, 0, 1), which reads (1,) through the unobserved (0, 1).
+    assert set(model._backoff_rows) == {(1,), (2, 0, 1)}
+
+
+def test_unobserved_context_shares_the_row_of_its_longest_observed_suffix(
+    trained_word_lm, tiny_vocab
+):
+    model = _hand_built_5gram()
+    suffixes = {(0, 2, 0, 1): (2, 0, 1), (0, 3, 4): (3, 4), (1, 0, 1): (1,), (3, 0, 1): (1,),
+                (4, 4): ()}
+    for ctx, suffix in suffixes.items():
+        sums, logs = model.cumulative_distribution(ctx), model.log_rows(ctx)
+        assert model.cumulative_distribution(suffix) is sums
+        assert model.log_rows(suffix) is logs
+        expected = cumulative_sums(model.full_distribution(ctx))
+        assert list(map(float.hex, sums.tolist())) == list(map(float.hex, expected.tolist()))
+        assert list(map(float.hex, logs.tolist())) == [
+            float.hex(math.log(model.prob(token, ctx))) for token in range(5)
+        ]
+    # <eos> never starts a bigram: its history shares the unigram's row.
+    word_lm, eos = trained_word_lm, (tiny_vocab.eos_id,)
+    assert word_lm.cumulative_distribution(eos) is word_lm.cumulative_distribution(())
+    assert word_lm.log_rows(eos) is word_lm.log_rows(())
 
 
 def test_backoff_memo_rows_are_read_only(char_5gram):
@@ -224,6 +267,19 @@ def test_backoff_memo_holds_at_most_the_observed_short_contexts(char_5gram):
     allowed = _backoff_contexts(char_5gram)
     assert set(char_5gram._backoff_rows) <= allowed
     assert len(char_5gram._backoff_rows) <= len(allowed)
+
+
+def test_log_row_memo_holds_at_most_one_row_per_observed_context(char_5gram):
+    model = char_5gram
+    observed = 1 + sum(map(len, model._counts[1:]))  # the empty context counts too
+    assert model.log_rows.cache_parameters()["maxsize"] == observed
+    rng = np.random.default_rng(14)
+    for _ in range(2 * observed):
+        model.log_rows(tuple(int(c) for c in rng.integers(0, len(model.tokens), size=4)))
+    for level in model._counts:
+        for ctx in level:
+            model.log_rows(ctx)
+    assert model.log_rows.cache_info().currsize <= observed
 
 
 def test_bigram_word_model_memoizes_nothing(trained_word_lm):
