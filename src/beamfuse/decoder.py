@@ -8,20 +8,19 @@ score.  The joint ranking score is
     joint = ctc_weight * ctc + (1 - ctc_weight) * att + lm_weight * lm
 
 Extending by ``<eos>`` finalizes a hypothesis: the CTC term switches to the
-exact-match probability and both scorers contribute their end-of-sentence
-terms.  Pruning keeps the best ``beam_width`` incomplete hypotheses of equal
-length; ties break lexicographically on the label sequence, which makes the
-search deterministic.
+exact-match probability and both scorers add their ``<eos>`` column, scored
+in one call with the labels.  Pruning keeps the best ``beam_width``
+incomplete hypotheses of equal length; ties break lexicographically on the
+label sequence, which makes the search deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .ctc import CtcBeam, CtcPrefixScorer, CtcState, PosteriorMatrix, ctc_final
+from .ctc import CtcBeam, CtcPrefixScorer, PosteriorMatrix, ctc_final
 from .vocab import EOS, from_char_labels
 
 _ENUM_LIMIT = 1_000_000
@@ -74,10 +73,6 @@ class Hypothesis:
     att_score: float
     lm_score: float
     joint: float
-    complete: bool
-    ctc_state: CtcState
-    lm_state: Any
-    att_state: Any
 
     @property
     def text(self) -> str:
@@ -133,50 +128,53 @@ class _Search:
         zero = np.zeros(1)
         return _Beam([()], ctc, zero, zero, att, lm)
 
-    def finish(self, beam: _Beam, complete: list[Hypothesis]) -> None:
-        """Extend *beam* by ``<eos>`` (exact-match CTC plus the scorers'
-        final terms) and keep the best ``n_best`` in *complete*.  Only a
-        hypothesis that can enter it is built."""
+    def finish(self, beam: _Beam, labels: list[str], complete: list[Hypothesis]):
+        """Score *beam*'s extensions by *labels* and by ``<eos>``, one
+        ``score_all`` call per scorer, and return the att and lm totals of
+        the *labels* columns.  The ``<eos>`` column, with exact-match CTC,
+        finishes *beam* into *complete*, which keeps the best ``n_best``;
+        only a hypothesis that can enter it is built."""
+        labels = [*labels, EOS]
+        att = self._totals(self.att, beam.att, beam.att_states, labels)
+        lm = self._totals(self.lm, beam.lm, beam.lm_states, labels)
         ctc = ctc_final(beam.ctc)
-        att, lm = self._per_state(beam, "final")
-        joint = combine_scores(ctc, att, lm, self.config)
+        joint = combine_scores(ctc, att[:, -1], lm[:, -1], self.config)
         n_best = self.config.n_best
-        entering = np.arange(len(joint))
+        # No more than n_best of one level can enter, none below the worst kept.
+        entering = np.argsort(-joint, kind="stable")[:n_best]
         if len(complete) == n_best:
-            entering = np.flatnonzero(joint >= complete[-1].joint)
-            if not entering.size:
-                return
-        if len(entering) > n_best:  # no more than n_best of one level can enter
-            entering = entering[np.argsort(-joint[entering], kind="stable")[:n_best]]
+            entering = entering[joint[entering] >= complete[-1].joint]
         for j in entering.tolist():
-            scores = (ctc[j].item(), att[j].item(), lm[j].item(), joint[j].item())
-            states = (beam.ctc[j], beam.lm_states[j], beam.att_states[j])
-            complete.append(Hypothesis(beam.labels[j], *scores, True, *states))
+            scores = (ctc[j].item(), att[j, -1].item(), lm[j, -1].item(), joint[j].item())
+            complete.append(Hypothesis(beam.labels[j], *scores))
         complete.sort(key=_rank)
         del complete[n_best:]
+        return att[:, :-1], lm[:, :-1]
 
     def cannot_beat(self, beam: _Beam, worst: float) -> bool:
         """Whether no completion of any hypothesis in *beam* can exceed *worst*."""
-        att, lm = self._per_state(beam, "future_score_bound")
+        slots = ((self.att, beam.att, beam.att_states), (self.lm, beam.lm, beam.lm_states))
+        att, lm = (
+            scores if scorer is None else scores + [scorer.future_score_bound(s) for s in states]
+            for scorer, scores, states in slots
+        )
         # -inf CTC plus an infinite bound is NaN, which beats nothing.
         with np.errstate(invalid="ignore"):
             bound = combine_scores(beam.ctc.log_prefix, att, lm, self.config)
         return bool((bound < worst).all())
 
-    def expand(self, beam: _Beam, width: int | None) -> _Beam | None:
+    def expand(self, beam: _Beam, att: np.ndarray, lm: np.ndarray, width: int | None):
         """The best *width* (all when None) one-label extensions of *beam*,
-        or None if there are none.
+        given their (H, C) att and lm totals, or None if there are none.
 
-        Each scorer scores the whole step as an (H, C) matrix, and only the
-        survivors get new states.  Children are ranked by (-joint, labels):
-        the parents are in lexicographic order and so are the labels, so
-        the candidates, row by row, are too, and a stable sort on the joint
-        score breaks its ties on the labels.  The survivors are kept in
-        candidate order, which keeps the beam in lexicographic order.
+        Only the survivors get new states.  Children are ranked by
+        (-joint, labels): the parents are in lexicographic order and so are
+        the labels, so the candidates, row by row, are too, and a stable
+        sort on the joint score breaks its ties on the labels.  The
+        survivors are kept in candidate order, which keeps the beam in
+        lexicographic order.
         """
         ctc = self.ctc.candidate_scores(beam.ctc, self.columns)
-        att = self._totals(self.att, beam.att, beam.att_states)
-        lm = self._totals(self.lm, beam.lm, beam.lm_states)
         joint = combine_scores(ctc, att, lm, self.config)
         # NaN marks a label a scorer cannot take: the end of an empty word.
         parents, cols = np.nonzero(~np.isnan(att + lm))
@@ -196,20 +194,12 @@ class _Search:
         att, lm = att[parents, cols], lm[parents, cols]
         return _Beam(labels, ctc_beam, att, lm, att_states, lm_states)
 
-    def _totals(self, scorer, scores: np.ndarray, states: list) -> np.ndarray:
-        """Accumulated scores plus this step's, as an (H, C) matrix."""
+    def _totals(self, scorer, scores: np.ndarray, states: list, labels: list[str]) -> np.ndarray:
+        """Accumulated scores plus this step's, as an (H, len(labels)) matrix."""
         totals = scores[:, None]
         if scorer is None:
-            return totals.repeat(len(self.labels), axis=1)
-        return totals + scorer.score_all(states, self.labels)
-
-    def _per_state(self, beam: _Beam, method: str) -> list[np.ndarray]:
-        """The accumulated att and lm scores plus each state's *method* term."""
-        slots = ((self.att, beam.att, beam.att_states), (self.lm, beam.lm, beam.lm_states))
-        return [
-            scores if scorer is None else scores + [getattr(scorer, method)(s) for s in states]
-            for scorer, scores, states in slots
-        ]
+            return totals.repeat(len(labels), axis=1)
+        return totals + scorer.score_all(states, labels)
 
     def run(self, width: int | None, stop_early: bool) -> DecodeResult:
         """Expand level by level, finishing every level; with *stop_early*,
@@ -217,8 +207,8 @@ class _Search:
         beam = self.initial()
         complete: list[Hypothesis] = []
         for _ in range(self.max_len):
-            self.finish(beam, complete)
-            beam = self.expand(beam, width)
+            att, lm = self.finish(beam, self.labels, complete)
+            beam = self.expand(beam, att, lm, width)
             if beam is None:
                 break
             # The bound is only tight for OOV scales <= 1; scorers report an
@@ -227,7 +217,7 @@ class _Search:
             if stop_early and full and self.cannot_beat(beam, complete[-1].joint):
                 break
         else:
-            self.finish(beam, complete)
+            self.finish(beam, [], complete)
         return DecodeResult(complete, True)
 
 

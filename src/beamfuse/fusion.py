@@ -1,9 +1,10 @@
 """Character-level LM fusion scorers for label-synchronous beam search.
 
 Three interchangeable strategies share one interface: ``score_all`` scores a
-whole beam step as an (H, C) array of natural-log scores, NaN where a
-word-end label would close an empty word; ``advance`` builds one survivor's
-child state; ``score`` is the one-label view of the two.  Scores may exceed
+whole beam step as an (H, C) array of natural-log scores, NaN where
+``<space>`` would close an empty word; its ``<eos>`` column is the
+end-of-sentence term.  ``advance`` builds one survivor's child state;
+``score`` and ``final`` are one-label and one-state views.  Scores may exceed
 zero because boundary corrections are ratios, not probabilities.  States are
 immutable.  Logs are taken with ``math.log`` one value at a time (``np.log``
 can differ in the last bit), so ``score_all`` holds exactly the floats
@@ -20,7 +21,7 @@ import numpy as np
 
 from .ngram import NGramModel
 from .trie import PrefixTree
-from .vocab import EOS, WORD_END_LABELS, Vocabulary
+from .vocab import EOS, SPACE, WORD_END_LABELS, Vocabulary
 
 
 class EmptyWordError(ValueError):
@@ -46,13 +47,17 @@ def _token_ids(ids: dict[str, int], labels: Sequence[str]) -> list[int]:
 
 
 class _FusionScorer:
-    """``score`` as the one-label view of ``score_all`` plus ``advance``."""
+    """``score`` as the one-label view of ``score_all`` plus ``advance``, and
+    ``final`` as the one-state view of its ``<eos>`` column."""
 
     def score(self, state, label: str) -> tuple[float, object]:
         logp = self.score_all([state], [label]).item()
         if math.isnan(logp):
             raise EmptyWordError("empty word at boundary")
         return logp, self.advance(state, label)
+
+    def final(self, state) -> float:
+        return self.score_all([state], [EOS]).item()
 
 
 # ======================================================================
@@ -78,7 +83,6 @@ class CharLMScorer(_FusionScorer):
         self.model = model
         self.labels = frozenset(model.tokens)
         self._ids = model.token_ids
-        self._eos = model.token_ids[EOS]
         self._keep = model.order - 1
 
     def initial_state(self, context: Sequence[str] = ()) -> CharState:
@@ -91,9 +95,6 @@ class CharLMScorer(_FusionScorer):
     def advance(self, state: CharState, label: str) -> CharState:
         context = state.context + (self._ids[label],)
         return CharState(context[-self._keep :] if self._keep else ())
-
-    def final(self, state: CharState) -> float:
-        return self.model.log_rows(state.context)[self._eos].item()
 
     def future_score_bound(self, state: CharState) -> float:
         """Upper bound on log mass any completion can still add (here zero)."""
@@ -108,9 +109,10 @@ class CharLMScorer(_FusionScorer):
 class _WordScorer(_FusionScorer):
     """What the two word-LM scorers share.
 
-    A subclass says whether a state has a pending word (``_pending``) and
-    what closing it scores (``_close_word``); ``final`` closes any pending
-    word, then adds ``log P(<eos> | word history)``.
+    A subclass says which word a word end commits (``_word_id``) and what
+    closing the pending word scores (``_close_word``), which is the
+    ``<space>`` entry; the ``<eos>`` entry closes any pending word, then adds
+    ``log P(<eos> | word history)``.
     """
 
     def __init__(self, word_model: NGramModel, vocab: Vocabulary, oov_scale: float):
@@ -126,12 +128,14 @@ class _WordScorer(_FusionScorer):
         self._keep_words = word_model.order - 1
         self._log_oov_scale = math.log(oov_scale)
 
-    def final(self, state) -> float:
-        boundary, history = 0.0, state.word_history
-        if self._pending(state):
-            boundary, word_id = self._close_word(state)
-            history = self._clip(history + (word_id,))
-        return boundary + math.log(self.word_model.prob(self.vocab.eos_id, history))
+    def _eos(self, state, close: float) -> float:
+        """The ``<eos>`` entry after *close*, the ``<space>`` one (NaN with no pending word)."""
+        history = state.word_history
+        if math.isnan(close):
+            close = 0.0
+        else:
+            history = self._clip(history + (self._word_id(state),))
+        return close + math.log(self.word_model.prob(self.vocab.eos_id, history))
 
     def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
         return history[-self._keep_words :] if self._keep_words else ()
@@ -174,6 +178,7 @@ class MultiLevelScorer(_WordScorer):
         self.char_model = char_model
         self.labels = frozenset(char_model.tokens)
         self._ids = char_model.token_ids
+        self._space, self._eos_token = self._ids[SPACE], self._ids[EOS]
         self._keep_chars = char_model.order - 1
 
     def initial_state(self, word_history: Sequence[int] = ()) -> MultiLevelState:
@@ -181,12 +186,11 @@ class MultiLevelScorer(_WordScorer):
 
     def score_all(self, states: Sequence[MultiLevelState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
-        ends = [i for i, label in enumerate(labels) if label in WORD_END_LABELS]
-        out = np.array([self.char_model.log_rows(s.char_context) for s in states])[:, tokens]
-        if ends:
-            for row, state in zip(out, states):
-                row[ends] = self._close_word(state)[0] if state.pending else math.nan
-        return out
+        out = np.array([self.char_model.log_rows(s.char_context) for s in states])
+        for row, state in zip(out, states):
+            close = self._close_word(state) if state.pending else math.nan
+            row[self._space], row[self._eos_token] = close, self._eos(state, close)
+        return out[:, tokens]
 
     def advance(self, state: MultiLevelState, label: str) -> MultiLevelState:
         token = self._ids[label]
@@ -194,8 +198,7 @@ class MultiLevelScorer(_WordScorer):
             (state.char_context + (token,))[-self._keep_chars :] if self._keep_chars else ()
         )
         if label in WORD_END_LABELS:
-            word_id = self.vocab.lookup("".join(state.pending))
-            history = self._clip(state.word_history + (word_id,))
+            history = self._clip(state.word_history + (self._word_id(state),))
             return MultiLevelState(char_context, history, (), 0.0)
         logp = self.char_model.log_rows(state.char_context)[token].item()
         return MultiLevelState(
@@ -210,15 +213,15 @@ class MultiLevelScorer(_WordScorer):
             return math.inf
         return -state.pending_logp if self.vocab.has_prefix("".join(state.pending)) else 0.0
 
-    def _close_word(self, state: MultiLevelState) -> tuple[float, int]:
-        word_id = self.vocab.lookup("".join(state.pending))
+    def _word_id(self, state: MultiLevelState) -> int:
+        return self.vocab.lookup("".join(state.pending))
+
+    def _close_word(self, state: MultiLevelState) -> float:
+        word_id = self._word_id(state)
         logp = math.log(self.word_model.prob(word_id, state.word_history))
         if word_id == self.vocab.unk_id:
-            return logp + self._log_oov_scale, word_id
-        return logp - state.pending_logp, word_id
-
-    def _pending(self, state: MultiLevelState) -> bool:
-        return bool(state.pending)
+            return logp + self._log_oov_scale
+        return logp - state.pending_logp
 
 
 # ======================================================================
@@ -253,8 +256,8 @@ class LookAheadScorer(_WordScorer):
         super().__init__(word_model, vocab, oov_scale)
         self.tree = PrefixTree.build(vocab)
         self.labels = frozenset(vocab.label_set)
-        self._columns = {**self.tree.columns, **dict.fromkeys(WORD_END_LABELS, -1)}
-        self._off_tree = np.zeros(len(self.tree.labels) + 1)
+        self._columns = {**self.tree.columns, SPACE: -2, EOS: -1}
+        self._off_tree = np.append(np.zeros(len(self.tree.labels) + 1), math.nan)
         self._unigram_sums = word_model.cumulative_distribution(())
         self._unigram_rows: dict[int, np.ndarray] = {}
 
@@ -262,14 +265,19 @@ class LookAheadScorer(_WordScorer):
         return self._root_state(self._clip(tuple(word_history)))
 
     def score_all(self, states: Sequence[LookAheadState], labels: Sequence[str]) -> np.ndarray:
-        columns = _token_ids(self._columns, labels)  # tree column; -1 for a word end
-        return np.array([self._scores(s) for s in states])[:, columns]
+        columns = _token_ids(self._columns, labels)  # tree column; -2 <space>, -1 <eos>
+        rows = np.array([self._scores(s) for s in states])
+        for j in np.flatnonzero(np.isnan(rows[:, -1])).tolist():  # <eos> left to the state
+            rows[j, -1] = self._eos(states[j], rows[j, -2].item())
+        return rows[:, columns]
 
     def _scores(self, state: LookAheadState) -> np.ndarray:
-        """Each tree column's score for *state*, then the word end's: a letter
-        costs the child's anticipated-word mass over the node's, or the OOV
-        charge when no word continues the spelling (off the tree, already paid).
-        Kept per node for states on the unigram's sums, shared by every unseen history."""
+        """Each tree column's score for *state*, then ``<space>``'s and ``<eos>``'s:
+        a letter costs the child's anticipated-word mass over the node's, or the
+        OOV charge when no word continues the spelling (off the tree, already
+        paid).  Kept per node for states on the unigram's sums, shared by every
+        unseen history, with ``<eos>`` only when a closed word is all the
+        history kept; else, and off the tree, it is NaN here and left to the state."""
         if state.node is None:
             return self._off_tree
         shared = state.sums is self._unigram_sums
@@ -279,8 +287,9 @@ class LookAheadScorer(_WordScorer):
             mass = (state.sums[self.tree.hi[kids] + 1] - state.sums[self.tree.lo[kids]]).tolist()
             base, unk = state.node_log_mass, state.unk_logp
             row = [unk if kid < 0 else math.log(m) - base for kid, m in zip(kids.tolist(), mass)]
-            row.append(math.nan if state.node == PrefixTree.ROOT else self._close_word(state)[0])
-            row = np.array(row)
+            close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state)
+            eos = self._eos(state, close) if self._keep_words <= 1 or not shared else math.nan
+            row = np.array(row + [close, eos])
             if shared:
                 self._unigram_rows[state.node] = row
         return row
@@ -304,20 +313,17 @@ class LookAheadScorer(_WordScorer):
         word_id = None if state.node is None else self.tree.word_end(state.node)
         return self.vocab.unk_id if word_id is None else word_id
 
-    def _close_word(self, state: LookAheadState) -> tuple[float, int]:
+    def _close_word(self, state: LookAheadState) -> float:
         word_id = self._word_id(state)
         if state.node is None:
-            return 0.0, word_id  # the OOV charge was paid on leaving the tree
+            return 0.0  # the OOV charge was paid on leaving the tree
         if word_id == self.vocab.unk_id:
-            return state.unk_logp, word_id  # the spelling stops short of every word
+            return state.unk_logp  # the spelling stops short of every word
         logp = math.log(self.word_model.prob(word_id, state.word_history))
-        return logp - state.node_log_mass, word_id
+        return logp - state.node_log_mass
 
     def _root_state(self, history: tuple[int, ...]) -> LookAheadState:
         sums = self.word_model.cumulative_distribution(history)
         mass = math.log(lookahead_prob(self.tree, PrefixTree.ROOT, sums))
         unk = math.log(self.word_model.prob(self.vocab.unk_id, history)) + self._log_oov_scale
         return LookAheadState(PrefixTree.ROOT, mass, history, sums, unk)
-
-    def _pending(self, state: LookAheadState) -> bool:
-        return state.node != PrefixTree.ROOT

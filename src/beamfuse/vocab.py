@@ -77,8 +77,7 @@ class Vocabulary:
             raise ValueError("empty vocabulary")
         letters = set(letters)
         for word in (*unique, *letters):
-            if not word or any(ch.isspace() for ch in word):
-                raise ValueError(f"invalid vocabulary word: {word!r}")
+            _check_word(word)
         chars = sorted({ch for word in (*unique, *letters) for ch in word})
         return cls(
             words=tuple(unique),
@@ -108,6 +107,14 @@ class Vocabulary:
     def lm_tokens(self) -> tuple[str, ...]:
         """Word-LM inventory: spelled words followed by ``<UNK>`` and ``<eos>``."""
         return self.words + (UNK, EOS)
+
+
+def _check_word(word: str) -> None:
+    """A vocabulary word is non-empty, has no whitespace and is not reserved."""
+    if not word or any(ch.isspace() for ch in word):
+        raise ValueError(f"invalid vocabulary word: {word!r}")
+    if word in (UNK, EOS, SPACE, BLANK):
+        raise ValueError(f"reserved token {word!r} cannot be a vocabulary word")
 
 
 def build_vocab(sentences: Sequence[Sequence[str]], max_size: int) -> Vocabulary:
@@ -141,6 +148,13 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read one word per line; IDs are re-assigned in sorted order."""
+    """Read one word per line, skipping blank lines; IDs are re-assigned in
+    sorted order.  A bad word is reported as ``path:line``."""
     words = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    for number, word in enumerate(words, start=1):
+        if word:
+            try:
+                _check_word(word)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return Vocabulary.from_words(word for word in words if word)

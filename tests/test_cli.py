@@ -466,3 +466,33 @@ def test_data_errors_exit_two(workspace, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "level, word, message",
+    [
+        ("word", "a b", "invalid vocabulary word: 'a b'"),
+        ("word", "<eos>", "reserved token '<eos>' cannot be a vocabulary word"),
+        ("char", "<UNK>", "reserved token '<UNK>' cannot be a vocabulary word"),
+    ],
+    ids=["whitespace", "eos-word-level", "unk-char-level"],
+)
+def test_bad_vocabulary_line_is_a_numbered_data_error(workspace, capsys, level, word, message):
+    vocab = workspace / f"bad_vocab_{level}.txt"
+    vocab.write_text(f"cat\n\n{word}\ndog\n", encoding="utf-8")
+    out = workspace / f"bad_vocab_{level}.lm"
+    code = main(
+        [
+            "train-lm",
+            "--corpus", str(workspace / "data" / "corpus.txt"),
+            "--vocab", str(vocab),
+            "--order", "2",
+            "--level", level,
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{vocab}:3: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Beam search behavior and equivalence with exhaustive scoring."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from beamfuse import (
     BLANK,
+    EOS,
     SPACE,
     CharLMScorer,
     CtcPrefixScorer,
@@ -285,18 +287,17 @@ def test_n_best_is_ranked_and_distinct(trained_char_lm):
     assert joints == sorted(joints, reverse=True)
     labelings = [hyp.labels for hyp in result.hypotheses]
     assert len(set(labelings)) == len(labelings)
-    assert all(hyp.complete for hyp in result.hypotheses)
 
 
 def test_missing_scorer_is_a_missing_term(trained_char_lm):
-    """Without a scorer its term is zero: no state, no step or final score."""
+    """Without a scorer its term is zero: no step or end-of-sentence score."""
     mat = synth_posteriors(["cat"], LABELS, peak=0.8, seed=5)
     config = DecodeConfig(ctc_weight=0.4, lm_weight=0.8, beam_width=4, n_best=3)
     for lm in (None, CharLMScorer(trained_char_lm)):
         for hyp in decode(mat, lm, None, config).hypotheses:
-            assert hyp.att_score == 0.0 and hyp.att_state is None
+            assert hyp.att_score == 0.0
             if lm is None:
-                assert hyp.lm_score == 0.0 and hyp.lm_state is None
+                assert hyp.lm_score == 0.0
             assert hyp.joint == combine_scores(hyp.ctc_score, hyp.att_score, hyp.lm_score, config)
 
 
@@ -325,7 +326,7 @@ def reference_decode(posteriors, lm, att, config):
     """The beam search as one scorer call and one sort entry per
     (hypothesis, label) candidate, ranked by (-joint, labels).
 
-    Returns (complete, [(labels, ctc, att, lm, joint, CTC log prefix), ...]).
+    Returns (complete, [(labels, ctc, att, lm, joint), ...]).
     """
     lm = lm if lm is not None else _Free()
     att = att if att is not None else _Free()
@@ -340,7 +341,7 @@ def reference_decode(posteriors, lm, att, config):
         att_total = att_score + att.final(att_state)
         lm_total = lm_score + lm.final(lm_state)
         joint = combine_scores(ctc, att_total, lm_total, config)
-        return (labels_, ctc, att_total, lm_total, joint, ctc_state.log_prefix)
+        return (labels_, ctc, att_total, lm_total, joint)
 
     def bound(hyp):
         _, _, ctc, att_score, lm_score, _, att_state, lm_state = hyp
@@ -390,14 +391,13 @@ def reference_decode(posteriors, lm, att, config):
             break
     if complete:
         return True, complete
-    fallback = sorted(((*h[:1], *h[2:6], h[1].log_prefix) for h in beam), key=rank)
+    fallback = sorted(((*h[:1], *h[2:6]) for h in beam), key=rank)
     return False, fallback[: config.n_best]
 
 
 def _bits(result):
     return result.complete, [
         (h.labels, *(x.hex() for x in (h.ctc_score, h.att_score, h.lm_score, h.joint)))
-        + (h.ctc_state.log_prefix.hex(),)
         for h in result.hypotheses
     ]
 
@@ -507,14 +507,111 @@ def test_decode_keeps_the_call_shapes_the_tracer_wraps(
         assert callable(scorer.final)
 
 
-def test_returned_states_own_their_buffers(trained_char_lm):
-    """No finished hypothesis shares or pins another's CTC vectors, or the
-    beam block they were copied out of."""
+def test_finished_hypotheses_hold_only_labels_and_scores(trained_char_lm):
+    """A finished hypothesis is its labels and four floats, so it pins
+    nothing of the beam: no CTC vectors and no scorer state."""
     mat = synth_posteriors(["cat"], LABELS, peak=0.8, seed=11)
     config = DecodeConfig(ctc_weight=0.4, lm_weight=0.8, beam_width=5, n_best=4)
     result = decode(mat, CharLMScorer(trained_char_lm), None, config)
     assert len(result.hypotheses) == 4
-    arrays = [a for h in result.hypotheses for a in (h.ctc_state.nonblank, h.ctc_state.blank)]
-    for i, a in enumerate(arrays):
-        assert a.base is None
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    for hyp in result.hypotheses:
+        labels, *scores = (getattr(hyp, f.name) for f in dataclasses.fields(hyp))
+        assert isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)
+        assert len(scores) == 4 and all(type(x) is float for x in scores)
+
+
+# ----------------------------------------------------------------------
+# finishing reads the <eos> column of the step's one score_all call
+# ----------------------------------------------------------------------
+
+
+def _slot_grid(tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm):
+    """Every scorer class, each once in the lm slot and once in the att slot."""
+    scorers = [
+        CharLMScorer(trained_char_lm),
+        MultiLevelScorer(trained_char_lm, trained_word_lm, tiny_vocab),
+        LookAheadScorer(trained_word_lm, tiny_vocab),
+    ]
+    att = CharLMScorer(uniform_char_lm)
+    return [(s, att) for s in scorers] + [(None, s) for s in scorers]
+
+
+def test_decode_calls_no_final(
+    monkeypatch, tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm
+):
+    """With every scorer class's ``final`` raising, decoding with each
+    scorer in either slot writes bit for bit what it wrote before."""
+    mat = synth_posteriors(["a", "cat"], LABELS, peak=0.6, seed=17)
+    config = DecodeConfig(ctc_weight=0.4, lm_weight=0.7, beam_width=4, n_best=3)
+    grid = _slot_grid(tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm)
+    want = [_bits(decode(mat, lm, att, config)) for lm, att in grid]
+
+    def final(self, state):
+        raise AssertionError("decode called final")
+
+    for scorer in (CharLMScorer, MultiLevelScorer, LookAheadScorer):
+        monkeypatch.setattr(scorer, "final", final)
+    assert [_bits(decode(mat, lm, att, config)) for lm, att in grid] == want
+
+
+def test_one_score_all_per_finished_level(
+    monkeypatch, tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm
+):
+    """Each scorer is called once per finished level, on the whole beam and
+    on every label plus ``<eos>``; the ``max_len`` level asks for ``<eos>``
+    alone."""
+    calls, finals = [], []
+    for scorer in (CharLMScorer, MultiLevelScorer, LookAheadScorer):
+        def score_all(self, states, labels, score_all=scorer.score_all):
+            calls.append((self, len(states), list(labels)))
+            return score_all(self, states, labels)
+
+        monkeypatch.setattr(scorer, "score_all", score_all)
+    monkeypatch.setattr(
+        decoder_module, "ctc_final", lambda beam: finals.append(len(beam)) or ctc_final(beam)
+    )
+    mat = random_matrix(np.random.default_rng(67), 5, LABELS)
+    labels = [*sorted(mat.char_labels), EOS]
+    configs = [  # to max_len (the n-best never fills), and stopping early
+        DecodeConfig(beam_width=3, n_best=10_000),
+        DecodeConfig(beam_width=3, max_len=3, n_best=10_000),
+        DecodeConfig(beam_width=2, n_best=1),
+    ]
+    levels = []
+    for config in configs:
+        for lm, att in _slot_grid(tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm):
+            calls.clear()
+            finals.clear()
+            decode(mat, lm, att, config)
+            at_max_len = len(finals) == (config.max_len or mat.n_frames) + 1
+            want = [(size, labels) for size in finals[:-1]]
+            want.append((finals[-1], [EOS] if at_max_len else labels))
+            for scorer in (lm, att):
+                if scorer is not None:
+                    assert [call[1:] for call in calls if call[0] is scorer] == want
+            levels.append(at_max_len)
+    assert True in levels and False in levels
+
+
+def test_word_scorers_close_each_state_at_most_once(
+    monkeypatch, tiny_vocab, trained_char_lm, trained_word_lm
+):
+    """The ``<space>`` entry and the ``<eos>`` entry share one word close:
+    no state is closed twice in a decode (each state lives one step)."""
+    rng = np.random.default_rng(71)
+    config = DecodeConfig(ctc_weight=0.3, lm_weight=0.7, beam_width=6, n_best=3)
+    scorers = [
+        MultiLevelScorer(trained_char_lm, trained_word_lm, tiny_vocab),
+        LookAheadScorer(trained_word_lm, tiny_vocab),
+    ]
+    for scorer in scorers:
+        closed = []  # keeps every state alive, so no id is reused
+        close = type(scorer)._close_word
+        monkeypatch.setattr(
+            type(scorer), "_close_word", lambda self, s, f=close: closed.append(s) or f(self, s)
+        )
+        for _ in range(3):
+            for lm, att in ((scorer, None), (None, scorer)):
+                decode(random_matrix(rng, 6, LABELS), lm, att, config)
+        assert closed
+        assert len({id(state) for state in closed}) == len(closed)

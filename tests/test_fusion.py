@@ -159,10 +159,11 @@ def test_multilevel_final_after_boundary(ml):
 
 
 def test_multilevel_eos_acts_as_boundary(ml):
+    """<eos> closes the pending word as <space> does, then ends the sentence."""
     _, state = spell(ml, ml.initial_state(), "cat")
-    space_logp, _ = ml.score(state, SPACE)
+    space_logp, child = ml.score(state, SPACE)
     eos_logp, _ = ml.score(state, EOS)
-    assert eos_logp == space_logp
+    assert eos_logp.hex() == (space_logp + ml.final(child)).hex()
 
 
 def test_multilevel_future_bound_tracks_pending_mass(ml):
@@ -335,9 +336,10 @@ def test_scorer_label_inventories(ml, la, uniform_char_lm, tiny_vocab):
 
 
 def reference_score(scorer, state, label):
-    """The per-label scoring rule each scorer applied before batching.
+    """The per-label scoring rule each scorer applied before batching, with
+    ``<eos>`` scored as ``reference_final``.
 
-    Returns (log score, child state fields), or None where the label would
+    Returns (log score, child state fields), or None where ``<space>`` would
     close an empty word.
     """
     if isinstance(scorer, CharLMScorer):
@@ -350,6 +352,18 @@ def reference_score(scorer, state, label):
     return _reference_lookahead(scorer, state, label)
 
 
+def reference_final(scorer, state):
+    """``final`` as it was before it became the ``<eos>`` column: close any
+    pending word, then add log P(<eos> | word history)."""
+    if isinstance(scorer, CharLMScorer):
+        return reference_score(scorer, state, EOS)[0]
+    boundary, history = 0.0, state.word_history
+    closed = reference_score(scorer, state, SPACE)
+    if closed is not None:
+        boundary, history = closed[0], scorer.advance(state, SPACE).word_history
+    return boundary + math.log(scorer.word_model.prob(scorer.vocab.eos_id, history))
+
+
 def _clip(history, model):
     keep = model.order - 1
     return history[-keep:] if keep else ()
@@ -360,8 +374,6 @@ def _reference_multilevel(scorer, state, label):
     keep = scorer.char_model.order - 1
     char_context = (state.char_context + (token,))[-keep:] if keep else ()
     if label in (SPACE, EOS):
-        if not state.pending:
-            return None
         word_id = scorer.vocab.lookup("".join(state.pending))
         logp = math.log(scorer.word_model.prob(word_id, state.word_history))
         if word_id == scorer.vocab.unk_id:
@@ -369,7 +381,10 @@ def _reference_multilevel(scorer, state, label):
         else:
             logp -= state.pending_logp
         history = _clip(state.word_history + (word_id,), scorer.word_model)
-        return logp, (char_context, history, (), 0.0)
+        child = (char_context, history, (), 0.0)
+        if label == EOS:
+            return reference_final(scorer, state), child
+        return (logp, child) if state.pending else None
     logp = math.log(scorer.char_model.prob(token, state.char_context))
     pending = state.pending + (label,)
     return logp, (char_context, state.word_history, pending, state.pending_logp + logp)
@@ -383,8 +398,6 @@ def _reference_lookahead(scorer, state, label):
 
     unk = oov_charge(state.word_history)
     if label in (SPACE, EOS):
-        if state.node == tree.ROOT:
-            return None
         if state.node is None:
             logp, word_id = 0.0, vocab.unk_id
         elif tree.word_end(state.node) is None:
@@ -395,7 +408,10 @@ def _reference_lookahead(scorer, state, label):
         history = _clip(state.word_history + (word_id,), model)
         sums = model.cumulative_distribution(history)
         mass = math.log(lookahead_prob(tree, tree.ROOT, sums))
-        return logp, (tree.ROOT, mass, history, oov_charge(history))
+        child = (tree.ROOT, mass, history, oov_charge(history))
+        if label == EOS:
+            return reference_final(scorer, state), child
+        return (logp, child) if state.node != tree.ROOT else None
     if state.node is None:
         return 0.0, (None, 0.0, state.word_history, unk)
     child = tree.descend(state.node, label)
@@ -439,6 +455,10 @@ def _scorer_grid(uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word
         MultiLevelScorer(uniform_char_lm, trained_word_lm, vocab, oov_scale=0.5),
         LookAheadScorer(trained_word_lm, vocab),
         LookAheadScorer(uniform_word_lm, vocab, oov_scale=0.5),
+        # Two words of history, and a trigram context (<UNK>, cat) whose first
+        # word was never a context: a state on the unigram's sums then closes
+        # "cat" into a history whose <eos> term the tree node does not fix.
+        LookAheadScorer(NGramModel(3, "word", vocab.lm_tokens, [{}, {}, {(3, 1): {4: 3}}]), vocab),
     ]
 
 
@@ -477,6 +497,25 @@ def test_score_all_is_bitwise_the_per_label_rule(
                 assert _fields(child) == want[1]
                 assert _fields(scorer.advance(state, label)) == want[1]
     assert kinds == {"root", "in", "off"}
+
+
+def test_eos_column_and_final_are_bitwise_the_old_final(
+    uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+):
+    """The <eos> column of score_all, and final, hold exactly the float the
+    old final computed; for a word scorer with a pending word that is the
+    <space> entry plus final of the closed state."""
+    grid = _scorer_grid(
+        uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
+    )
+    for scorer in grid:
+        states = _reachable_states(scorer)
+        column = scorer.score_all(states, [EOS])[:, 0].tolist()
+        for state, eos in zip(states, column):
+            assert eos.hex() == scorer.final(state).hex() == reference_final(scorer, state).hex()
+            if not isinstance(scorer, CharLMScorer) and reference_score(scorer, state, SPACE):
+                space_logp, child = scorer.score(state, SPACE)
+                assert eos.hex() == (space_logp + scorer.final(child)).hex()
 
 
 def test_lookahead_keeps_scores_once_per_node_on_the_unigram_row(trained_word_lm, tiny_vocab):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamfuse import (
+    BLANK,
     EOS,
     SPACE,
     UNK,
@@ -97,6 +98,19 @@ def test_from_words_rejects_bad_spellings():
         Vocabulary.from_words(["a", ""])
     with pytest.raises(ValueError):
         Vocabulary.from_words(["a b"])
+
+
+@pytest.mark.parametrize("token", [UNK, EOS, SPACE, BLANK])
+def test_from_words_rejects_reserved_tokens(token):
+    with pytest.raises(ValueError, match="reserved token"):
+        Vocabulary.from_words(["a", token])
+
+
+def test_load_vocabulary_numbers_the_bad_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\n\n  \nb c\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vocab\.txt:4: invalid vocabulary word: 'b c'"):
+        load_vocabulary(path)
 
 
 def test_vocabulary_file_round_trip(tmp_path, tiny_vocab):
