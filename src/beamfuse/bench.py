@@ -42,7 +42,10 @@ def run_benchmark(
 ) -> list[BenchRow]:
     """Median-of-repetitions decoding time per system, plus error rates.
 
-    Each repetition decodes the whole set sequentially in this thread; the
+    Each repetition decodes the whole set once per system, sequentially in
+    this thread, taking the systems in turn on each utterance, so drift of
+    the host's speed is shared by every system instead of landing on one.
+    A system's time for a repetition is the sum of its decode times; the
     reported time is the median over repetitions, which shrugs off one-off
     scheduling noise and cold caches.  Ratios are against the ``none``
     baseline system, which must be present.  Accuracy columns are
@@ -55,25 +58,24 @@ def run_benchmark(
     if all(system.name != BASELINE for system in systems):
         raise ValueError(f"benchmark requires a {BASELINE!r} baseline system")
 
+    times = [[0.0] * repetitions for _ in systems]
+    texts: list[list[str]] = [[] for _ in systems]
+    for repetition in range(repetitions):
+        for matrix, _ in utterances:
+            for system, system_times, system_texts in zip(systems, times, texts):
+                start = time.perf_counter()
+                result = decode(matrix, system.lm, config=config)
+                system_times[repetition] += time.perf_counter() - start
+                if repetition == 0:
+                    system_texts.append(result.hypotheses[0].text)
+
+    references = [" ".join(ref) for _, ref in utterances]
     measured = []
-    for system in systems:
-        times = []
-        texts: list[str] | None = None
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            decoded = [decode(matrix, system.lm, config=config) for matrix, _ in utterances]
-            times.append(time.perf_counter() - start)
-            if texts is None:
-                texts = [result.hypotheses[0].text for result in decoded]
-        assert texts is not None
-        references = [" ".join(ref) for _, ref in utterances]
-        cer = statistics.mean(
-            char_error_rate(text, ref) for text, ref in zip(texts, references)
-        )
-        wer = statistics.mean(
-            word_error_rate(text.split(), ref.split()) for text, ref in zip(texts, references)
-        )
-        measured.append((system, statistics.median(times), cer, wer))
+    for system, system_times, system_texts in zip(systems, times, texts):
+        pairs = list(zip(system_texts, references))
+        cer = statistics.mean(char_error_rate(text, ref) for text, ref in pairs)
+        wer = statistics.mean(word_error_rate(text.split(), ref.split()) for text, ref in pairs)
+        measured.append((system, statistics.median(system_times), cer, wer))
 
     base_time = next(seconds for system, seconds, _, _ in measured if system.name == BASELINE)
     return [

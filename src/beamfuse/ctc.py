@@ -90,25 +90,13 @@ class PosteriorMatrix:
         return tuple(label for label in self.labels if label != BLANK)
 
 
-@dataclass(frozen=True)
-class CtcState:
-    """Per-hypothesis forward vectors plus the accumulated prefix score."""
-
-    nonblank: np.ndarray
-    blank: np.ndarray
-    last_column: int  # posterior column of the last label; -1 for the empty prefix
-    log_prefix: float
-    length: int
-
-
 @dataclass(frozen=True, eq=False)
-class CtcBeam(Sequence[CtcState]):
+class CtcBeam:
     """The CTC states of a whole beam, one column per hypothesis.
 
     ``forward`` stacks the nonblank and blank vectors as (2, T, H); the
-    other fields are (H,) arrays.  ``beam[j]`` is a ``CtcState`` built from
-    copies of column j, so it never holds on to the block.  ``transition``
-    is built once per beam and serves both scoring and extension.
+    other fields are (H,) arrays.  ``transition`` is built once per beam
+    and serves both scoring and extension.
     """
 
     forward: np.ndarray
@@ -116,25 +104,11 @@ class CtcBeam(Sequence[CtcState]):
     log_prefix: np.ndarray
     length: np.ndarray
 
-    @classmethod
-    def of(cls, states: Sequence[CtcState]) -> CtcBeam:
-        """*states* as one beam; a ``CtcBeam`` is returned as it is."""
-        if isinstance(states, CtcBeam):
-            return states
-        forward = np.array([[s.nonblank for s in states], [s.blank for s in states]])
-        fields = zip(*((s.last_column, s.log_prefix, s.length) for s in states))
-        return cls(forward.transpose(0, 2, 1).copy(), *map(np.array, fields))
-
     nonblank = property(lambda self: self.forward[0])
     blank = property(lambda self: self.forward[1])
 
     def __len__(self) -> int:
         return self.forward.shape[2]
-
-    def __getitem__(self, j: int) -> CtcState:
-        nonblank, blank = (vectors[:, j].copy() for vectors in self.forward)
-        scalars = (int(self.last_column[j]), float(self.log_prefix[j]), int(self.length[j]))
-        return CtcState(nonblank, blank, *scalars)
 
     def take(self, index: np.ndarray) -> CtcBeam:
         """The hypotheses at *index*, in that order, with the transition
@@ -195,10 +169,10 @@ class CtcPrefixScorer:
         # of the scans, the same floats for every step.
         self._sums = np.concatenate([np.cumsum(self._logp[a:e], axis=0) for a, e in self._segments])
 
-    def initial_state(self) -> CtcState:
-        blank = np.cumsum(self._log_blank)
-        nonblank = np.full(self._frames, NEG_INF)
-        return CtcState(nonblank, blank, -1, 0.0, 0)
+    def initial_state(self) -> CtcBeam:
+        """The beam of the empty prefix alone."""
+        forward = np.stack([np.full(self._frames, NEG_INF), np.cumsum(self._log_blank)])
+        return CtcBeam(forward[:, :, None], np.array([-1]), np.zeros(1), np.zeros(1, dtype=int))
 
     def column(self, label: str) -> int:
         col = self._columns.get(label)
@@ -208,14 +182,14 @@ class CtcPrefixScorer:
             raise ValueError("cannot extend a hypothesis by <blank>")
         return col
 
-    def candidate_scores(self, states: Sequence[CtcState], columns: Sequence[int]) -> np.ndarray:
-        """Log prefix scores for every state extended by every column; (H, C).
+    def candidate_scores(self, beam: CtcBeam, columns: Sequence[int]) -> np.ndarray:
+        """Log prefix scores for every hypothesis of *beam* extended by every
+        column; (H, C).
 
         A prefix of length L cannot be complete before frame L - 1, so rows
         before L feed nothing but ``-inf`` and the sum starts at row L
         (``logaddexp(-inf, x) == x`` exactly).
         """
-        beam = CtcBeam.of(states)
         start = min(*beam.length.tolist(), self._frames - 1)
         prev_blank, prev_total = beam.transition[:, start:]
         x = self._logp[start:, columns]
@@ -226,16 +200,15 @@ class CtcPrefixScorer:
         return scores
 
     def extended_states(
-        self, states: Sequence[CtcState], *, columns: Sequence[int], log_prefix=None
+        self, parents: CtcBeam, *, columns: Sequence[int], log_prefix: np.ndarray
     ) -> CtcBeam:
-        """Forward vectors for each of *states* extended by the matching
-        entry of *columns*; *log_prefix* passes their scores from
-        ``candidate_scores``, which holds them bitwise.
+        """Forward vectors for each hypothesis of *parents* extended by the
+        matching entry of *columns*; *log_prefix* holds their scores, taken
+        from ``candidate_scores``.
 
         Frames before a parent's length are ``-inf`` in both child vectors,
         so each scan starts at the shortest parent's length.
         """
-        parents = CtcBeam.of(states)
         columns = np.asarray(columns, dtype=np.intp)
         prev_blank, prev_total = parents.transition
         phi = np.where(parents.last_column == columns, prev_blank, prev_total)
@@ -252,8 +225,6 @@ class CtcPrefixScorer:
             start = np.logaddexp(last_blank, last_nonblank)
             _log_linear_scan(blank[a:e], start, blank_sums[a:e], nonblank[a : e - 1], skip)
             last_nonblank, last_blank = nonblank[e - 1], blank[e - 1]
-        if log_prefix is None:
-            log_prefix = np.logaddexp.reduce(phi + self._logp[:, columns], axis=0)
         return CtcBeam(forward, columns, np.asarray(log_prefix, dtype=float), parents.length + 1)
 
 
@@ -284,7 +255,7 @@ def _log_linear_scan(out: np.ndarray, start, sums: np.ndarray, drive: np.ndarray
     rest += sums[skip:]
 
 
-def ctc_final(state):
-    """Log probability that the collapsed output equals the prefix exactly:
-    a float for a ``CtcState``, an (H,) array for a ``CtcBeam``."""
-    return np.logaddexp(state.nonblank[-1], state.blank[-1])
+def ctc_final(beam: CtcBeam) -> np.ndarray:
+    """Log probability that the collapsed output equals each prefix of
+    *beam* exactly; (H,)."""
+    return np.logaddexp(beam.nonblank[-1], beam.blank[-1])

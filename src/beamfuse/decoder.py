@@ -122,7 +122,7 @@ class _Search:
         self.max_len = config.max_len if config.max_len is not None else posteriors.n_frames
 
     def initial(self) -> _Beam:
-        ctc = CtcBeam.of([self.ctc.initial_state()])
+        ctc = self.ctc.initial_state()
         lm = [None if self.lm is None else self.lm.initial_state()]
         att = [None if self.att is None else self.att.initial_state()]
         zero = np.zeros(1)

@@ -133,20 +133,17 @@ def synth_posteriors(
     return PosteriorMatrix(labels, np.array(rows))
 
 
-def format_nbest_block(result: DecodeResult) -> list[str]:
-    """One line per hypothesis: rank, joint/ctc/att/lm scores, text."""
-    lines = []
-    for rank, hyp in enumerate(result.hypotheses, start=1):
-        lines.append(
+def write_nbest(results: Sequence[DecodeResult], path: str | Path) -> None:
+    """N-best blocks in input order, separated by blank lines; one line per
+    hypothesis: rank, joint/ctc/att/lm scores, text."""
+    blocks = [
+        "\n".join(
             f"{rank}\t{hyp.joint:.6f}\t{hyp.ctc_score:.6f}"
             f"\t{hyp.att_score:.6f}\t{hyp.lm_score:.6f}\t{hyp.text}"
+            for rank, hyp in enumerate(result.hypotheses, start=1)
         )
-    return lines
-
-
-def write_nbest(results: Sequence[DecodeResult], path: str | Path) -> None:
-    """N-best blocks in input order, separated by blank lines."""
-    blocks = ["\n".join(format_nbest_block(result)) for result in results]
+        for result in results
+    ]
     Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
@@ -155,26 +152,21 @@ def write_nbest(results: Sequence[DecodeResult], path: str | Path) -> None:
 # ======================================================================
 
 
-def synth_vocabulary(
-    n_words: int,
-    seed: int = 0,
-    alphabet: str = "abcdefghij",
-    min_len: int = 2,
-    max_len: int = 7,
-) -> list[str]:
-    """Distinct random words, sorted; deterministic per seed."""
+_WORD_LENGTHS = range(2, 8)
+
+
+def synth_vocabulary(n_words: int, seed: int = 0, alphabet: str = "abcdefghij") -> list[str]:
+    """Distinct random words of 2 to 7 letters, sorted; deterministic per seed."""
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    if not 1 <= min_len <= max_len:
-        raise ValueError("need 1 <= min_len <= max_len")
-    capacity = sum(len(alphabet) ** length for length in range(min_len, max_len + 1))
+    capacity = sum(len(alphabet) ** length for length in _WORD_LENGTHS)
     if n_words > capacity // 2:
         raise ValueError("alphabet too small for that many distinct words")
     rng = np.random.default_rng(seed)
     letters = list(alphabet)
     words: set[str] = set()
     while len(words) < n_words:
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
         words.add("".join(rng.choice(letters, size=length)))
     return sorted(words)
 
@@ -182,21 +174,21 @@ def synth_vocabulary(
 class MarkovText:
     """Deterministic bigram-structured sentence sampler over a word list.
 
-    Each word gets a small preferred-successor set fixed by the structure
-    seed; sampling follows a preferred successor most of the time and
+    Each word gets ``BRANCHING`` preferred successors fixed by the structure
+    seed; sampling follows one of them with probability ``FOLLOW`` and
     otherwise jumps uniformly.  Training text and test transcripts drawn
     from the same chain give trained models real signal about the test set.
     """
 
-    def __init__(self, words: Sequence[str], seed: int, branching: int = 3, follow: float = 0.8):
+    BRANCHING = 3
+    FOLLOW = 0.8
+
+    def __init__(self, words: Sequence[str], seed: int):
         if not words:
             raise ValueError("empty word list")
-        if not 0.0 <= follow <= 1.0:
-            raise ValueError("follow must lie in [0, 1]")
         self.words = list(words)
-        self.follow = follow
         rng = np.random.default_rng(seed)
-        self._successors = rng.integers(0, len(self.words), size=(len(self.words), branching))
+        self._successors = rng.integers(0, len(self.words), size=(len(self.words), self.BRANCHING))
 
     def sentences(
         self, count: int, min_words: int, max_words: int, seed: int
@@ -205,15 +197,14 @@ class MarkovText:
             raise ValueError("need 1 <= min_words <= max_words")
         rng = np.random.default_rng(seed)
         n = len(self.words)
-        branching = self._successors.shape[1]
         out = []
         for _ in range(count):
             length = int(rng.integers(min_words, max_words + 1))
             current = int(rng.integers(n))
             sentence = [current]
             for _ in range(length - 1):
-                if rng.random() < self.follow:
-                    current = int(self._successors[current, int(rng.integers(branching))])
+                if rng.random() < self.FOLLOW:
+                    current = int(self._successors[current, int(rng.integers(self.BRANCHING))])
                 else:
                     current = int(rng.integers(n))
                 sentence.append(current)

@@ -96,9 +96,6 @@ class Vocabulary:
         i = bisect_left(self.words, prefix)
         return i < len(self.words) and self.words[i].startswith(prefix)
 
-    def spelling(self, word_id: int) -> str:
-        return self.words[word_id]
-
     @property
     def spelled_count(self) -> int:
         return len(self.words)

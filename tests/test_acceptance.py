@@ -300,14 +300,17 @@ def test_criterion_5_ctc_recursion_matches_enumeration():
         while queue:
             key, state = queue.pop()
             worst_full = max(
-                worst_full, abs(math.exp(ctc_final(state)) - full.get(key, 0.0))
+                worst_full, abs(math.exp(ctc_final(state).item()) - full.get(key, 0.0))
             )
             if len(key) == limit:
                 continue
-            scores = scorer.candidate_scores([state], columns)[0]
-            child_states = scorer.extended_states([state] * len(columns), columns=columns)
-            split = math.exp(ctc_final(state))
-            for col, child in zip(columns, child_states):
+            scores = scorer.candidate_scores(state, columns)[0]
+            child_states = scorer.extended_states(
+                state.take([0] * len(columns)), columns=columns, log_prefix=scores
+            )
+            split = math.exp(ctc_final(state).item())
+            for col in columns:
+                child = child_states.take([col])
                 child_key = key + (col,)
                 got = math.exp(scores[col])
                 worst_prefix = max(
@@ -315,7 +318,7 @@ def test_criterion_5_ctc_recursion_matches_enumeration():
                 )
                 split += got
                 queue.append((child_key, child))
-            here = math.exp(state.log_prefix) if key else 1.0
+            here = math.exp(state.log_prefix.item()) if key else 1.0
             worst_split = max(worst_split, abs(here - split))
     elapsed = time.perf_counter() - start
     worst = max(worst_prefix, worst_full, worst_split)

@@ -4,7 +4,9 @@ import pickle
 
 import pytest
 
-from beamfuse import load_model, load_vocabulary
+from beamfuse import BLANK, SPACE, DecodeConfig, load_model, load_vocabulary, synth_posteriors
+from beamfuse import bench as bench_module
+from beamfuse.bench import BenchSystem
 from beamfuse.cli import main
 
 
@@ -370,6 +372,27 @@ def test_bench_reports_every_strategy_in_order(workspace):
     assert code == 0
     lines = (workspace / "report.tsv").read_text(encoding="utf-8").splitlines()
     assert [line.split("\t")[0] for line in lines[1:]] == strategies
+
+
+def test_bench_times_every_system_within_each_repetition(monkeypatch):
+    """Each repetition takes the systems in turn on each utterance, so drift
+    of the host's speed is shared by every system instead of landing on one."""
+    real_decode = bench_module.decode
+    order = []
+
+    def recording(matrix, lm, config):
+        order.append(lm)
+        return real_decode(matrix, None, config=config)
+
+    monkeypatch.setattr(bench_module, "decode", recording)
+    labels = ("a", "b", SPACE, BLANK)
+    transcripts = [["a"], ["b", "a"]]
+    utterances = [(synth_posteriors(ref, labels, seed=s), ref) for s, ref in enumerate(transcripts)]
+    systems = [BenchSystem(name, None, lm) for name, lm in (("none", None), ("x", "x"), ("y", "y"))]
+    rows = bench_module.run_benchmark(utterances, systems, DecodeConfig(beam_width=2), 3)
+    assert order == [None, "x", "y"] * 2 * 3
+    assert [row.strategy for row in rows] == ["none", "x", "y"]
+    assert [row.cer for row in rows] == [rows[0].cer] * 3
 
 
 def test_bench_vocabulary_smaller_than_the_posterior_alphabet(tmp_path):

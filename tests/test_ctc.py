@@ -17,7 +17,6 @@ import pytest
 from beamfuse import (
     BLANK,
     EOS,
-    CtcBeam,
     CtcPrefixScorer,
     PosteriorMatrix,
     ctc_final,
@@ -35,26 +34,35 @@ def random_matrix(rng, frames, labels):
     return PosteriorMatrix(labels, probs)
 
 
-def extend(scorer, state, label):
-    """Log prefix probability of *state* extended by *label*, and the new state."""
-    new = scorer.extended_states([state], columns=[scorer.column(label)])[0]
-    return new.log_prefix, new
+def extend_each(scorer, beam, columns):
+    """Hypothesis j of *beam* extended by ``columns[j]``, with the log prefix
+    score ``candidate_scores`` gives it."""
+    diagonal = np.arange(len(columns))
+    scores = scorer.candidate_scores(beam, columns)[diagonal, diagonal]
+    return scorer.extended_states(beam, columns=columns, log_prefix=scores)
+
+
+def extend(scorer, beam, label):
+    """Log prefix probability of the one-hypothesis *beam* extended by
+    *label*, and the new beam."""
+    new = extend_each(scorer, beam, [scorer.column(label)])
+    return new.log_prefix.item(), new
 
 
 def test_hand_checked_uniform_values():
     scorer = CtcPrefixScorer(uniform_matrix())
     empty = scorer.initial_state()
-    assert np.allclose(np.exp(empty.blank), [1 / 3, 1 / 9], atol=1e-12)
+    assert np.allclose(np.exp(empty.blank[:, 0]), [1 / 3, 1 / 9], atol=1e-12)
 
     score_a, state_a = extend(scorer, empty, "a")
     assert math.exp(score_a) == pytest.approx(4 / 9, abs=1e-12)
-    assert math.exp(ctc_final(state_a)) == pytest.approx(3 / 9, abs=1e-12)
+    assert math.exp(ctc_final(state_a).item()) == pytest.approx(3 / 9, abs=1e-12)
 
     score_ab, state_ab = extend(scorer, state_a, "b")
     assert math.exp(score_ab) == pytest.approx(1 / 9, abs=1e-12)
-    assert math.exp(ctc_final(state_ab)) == pytest.approx(1 / 9, abs=1e-12)
+    assert math.exp(ctc_final(state_ab).item()) == pytest.approx(1 / 9, abs=1e-12)
 
-    assert math.exp(ctc_final(empty)) == pytest.approx(1 / 9, abs=1e-12)
+    assert math.exp(ctc_final(empty).item()) == pytest.approx(1 / 9, abs=1e-12)
 
 
 def test_repeated_label_needs_intervening_blank():
@@ -68,7 +76,7 @@ def test_repeated_label_needs_intervening_blank():
     _, state_a3 = extend(scorer3, scorer3.initial_state(), "a")
     score_aa3, state_aa3 = extend(scorer3, state_a3, "a")
     assert math.exp(score_aa3) == pytest.approx(1 / 27, abs=1e-12)
-    assert math.exp(ctc_final(state_aa3)) == pytest.approx(1 / 27, abs=1e-12)
+    assert math.exp(ctc_final(state_aa3).item()) == pytest.approx(1 / 27, abs=1e-12)
 
 
 def test_brute_force_oracle_agrees_on_random_matrices():
@@ -87,7 +95,7 @@ def test_brute_force_oracle_agrees_on_random_matrices():
             assert math.exp(score) == pytest.approx(
                 ctc_brute_force(mat, prefix), abs=1e-12
             )
-            assert math.exp(ctc_final(state)) == pytest.approx(
+            assert math.exp(ctc_final(state).item()) == pytest.approx(
                 ctc_brute_force_full(mat, prefix), abs=1e-12
             )
 
@@ -102,7 +110,7 @@ def test_prefix_scores_decompose_into_full_plus_continuations():
         state = scorer.initial_state()
         for label in ("a", "b"):
             score, extended = extend(scorer, state, label)
-            pieces = [ctc_final(extended)]
+            pieces = [ctc_final(extended).item()]
             for nxt in ("a", "b"):
                 nxt_score, _ = extend(scorer, extended, nxt)
                 pieces.append(nxt_score)
@@ -130,16 +138,15 @@ def test_candidate_scores_match_single_extensions():
     scorer = CtcPrefixScorer(mat)
     columns = [scorer.column(label) for label in ("a", "b", "c")]
 
-    states = [scorer.initial_state()]
-    _, s_a = extend(scorer, states[0], "a")
-    _, s_ab = extend(scorer, s_a, "b")
-    states.extend([s_a, s_ab])
+    # "ab", "ba" and "aa": "a" and "b" each repeat the last label of a state.
+    parents = extend_each(scorer, scorer.initial_state().take([0, 0]), columns[:2])
+    states = extend_each(scorer, parents.take([0, 1, 0]), [columns[1], columns[0], columns[0]])
 
     batch = scorer.candidate_scores(states, columns)
     assert batch.shape == (3, 3)
-    for j, state in enumerate(states):
+    for j in range(len(states)):
         for i, label in enumerate(("a", "b", "c")):
-            single, _ = extend(scorer, state, label)
+            single, _ = extend(scorer, states.take([j]), label)
             assert batch[j, i] == single
 
 
@@ -186,16 +193,17 @@ def test_greedy_decode_collapses_argmax():
     assert greedy_decode(mat) == ["a", "a", "b"]
 
 
-def reference_extension(scorer, state, column):
-    """The textbook per-frame forward recursion for one extension."""
+def reference_extension(scorer, beam, j, column):
+    """The textbook per-frame forward recursion for hypothesis j of *beam*
+    extended by *column*."""
     frames = scorer.matrix.n_frames
     with np.errstate(divide="ignore"):
         logp = np.log(scorer.matrix.probs)
     x = logp[:, column]
     log_blank = logp[:, scorer.matrix.blank_index]
-    prev_blank = np.concatenate(([0.0 if state.length == 0 else -np.inf], state.blank[:-1]))
-    prev_nonblank = np.concatenate(([-np.inf], state.nonblank[:-1]))
-    phi = prev_blank if state.last_column == column else np.logaddexp(prev_blank, prev_nonblank)
+    prev_blank = np.concatenate(([0.0 if beam.length[j] == 0 else -np.inf], beam.blank[:-1, j]))
+    prev_nonblank = np.concatenate(([-np.inf], beam.nonblank[:-1, j]))
+    phi = prev_blank if beam.last_column[j] == column else np.logaddexp(prev_blank, prev_nonblank)
     nonblank = np.empty(frames)
     blank = np.empty(frames)
     nonblank[0] = x[0] + phi[0]
@@ -217,15 +225,15 @@ def assert_matches_reference(got, want):
 def check_against_reference(mat, paths):
     """Extend along each label path, batched, and compare every state."""
     scorer = CtcPrefixScorer(mat)
-    states = [scorer.initial_state()] * len(paths)
+    beam = scorer.initial_state().take([0] * len(paths))
     for step in range(len(paths[0])):
         columns = [scorer.column(path[step]) for path in paths]
-        extended = scorer.extended_states(states, columns=columns)
-        for state, column, new in zip(states, columns, extended):
-            nonblank, blank = reference_extension(scorer, state, column)
-            assert_matches_reference(new.nonblank, nonblank)
-            assert_matches_reference(new.blank, blank)
-        states = extended
+        extended = extend_each(scorer, beam, columns)
+        for j, column in enumerate(columns):
+            nonblank, blank = reference_extension(scorer, beam, j, column)
+            assert_matches_reference(extended.nonblank[:, j], nonblank)
+            assert_matches_reference(extended.blank[:, j], blank)
+        beam = extended
 
 
 LONG_LABELS = tuple("abcdefghij") + (BLANK,)
@@ -266,8 +274,8 @@ def test_repeated_label_across_a_zero_frame():
     scorer = CtcPrefixScorer(mat)
     state = scorer.initial_state()
     for label in "aa":
-        state = scorer.extended_states([state], columns=[scorer.column(label)])[0]
-    assert math.exp(ctc_final(state)) == pytest.approx(
+        _, state = extend(scorer, state, label)
+    assert math.exp(ctc_final(state).item()) == pytest.approx(
         ctc_brute_force_full(mat, ["a", "a"]), abs=1e-12
     )
 
@@ -277,29 +285,14 @@ def test_batched_extension_is_bitwise_equal_to_single():
     probs = rng.dirichlet(np.ones(len(LONG_LABELS)), size=50)
     probs[[7, 8, 30]] = np.eye(len(LONG_LABELS))[[1, -1, 4]]
     scorer = CtcPrefixScorer(PosteriorMatrix(LONG_LABELS, probs))
-    root = scorer.initial_state()
-    parents = scorer.extended_states([root] * 3, columns=[0, 1, 4])
-    extensions = [(parent, col) for parent in parents for col in (0, 1, 2, 4)]
-    batch = scorer.extended_states(
-        [parent for parent, _ in extensions], columns=[col for _, col in extensions]
+    parents = extend_each(scorer, scorer.initial_state().take([0] * 3), [0, 1, 4])
+    extensions = [(parent, col) for parent in range(3) for col in (0, 1, 2, 4)]
+    batch = extend_each(
+        scorer,
+        parents.take([parent for parent, _ in extensions]),
+        [col for _, col in extensions],
     )
-    for (parent, col), state in zip(extensions, batch):
-        single = scorer.extended_states([parent], columns=[col])[0]
-        assert np.array_equal(single.nonblank, state.nonblank)
-        assert np.array_equal(single.blank, state.blank)
-
-
-def test_beam_of_one_state_round_trips_bitwise():
-    rng = np.random.default_rng(53)
-    scorer = CtcPrefixScorer(random_matrix(rng, 9, LONG_LABELS))
-    state = scorer.initial_state()
-    for label in "abba":
-        _, state = extend(scorer, state, label)
-    beam = CtcBeam.of([state])
-    assert CtcBeam.of(beam) is beam and len(beam) == 1
-    back = beam[0]
-    assert back.nonblank.tobytes() == state.nonblank.tobytes()
-    assert back.blank.tobytes() == state.blank.tobytes()
-    assert (back.last_column, back.log_prefix.hex(), back.length) == (
-        state.last_column, state.log_prefix.hex(), state.length,
-    )
+    for k, (parent, col) in enumerate(extensions):
+        single = extend_each(scorer, parents.take([parent]), [col])
+        assert np.array_equal(single.nonblank[:, 0], batch.nonblank[:, k])
+        assert np.array_equal(single.blank[:, 0], batch.blank[:, k])

@@ -225,8 +225,10 @@ def test_hypothesis_scores_replay(trained_char_lm):
     for hyp in result.hypotheses:
         state = ctc.initial_state()
         for label in hyp.labels:
-            state = ctc.extended_states([state], columns=[ctc.column(label)])[0]
-        assert ctc_final(state) == pytest.approx(hyp.ctc_score, abs=1e-9)
+            column = [ctc.column(label)]
+            score = ctc.candidate_scores(state, column)[0]
+            state = ctc.extended_states(state, columns=column, log_prefix=score)
+        assert ctc_final(state).item() == pytest.approx(hyp.ctc_score, abs=1e-9)
 
         lm_state = lm.initial_state()
         lm_total = 0.0
@@ -337,7 +339,7 @@ def reference_decode(posteriors, lm, att, config):
 
     def finalize(hyp):
         labels_, ctc_state, ctc, att_score, lm_score, joint, att_state, lm_state = hyp
-        ctc = ctc_final(ctc_state)
+        ctc = ctc_final(ctc_state).item()
         att_total = att_score + att.final(att_state)
         lm_total = lm_score + lm.final(lm_state)
         joint = combine_scores(ctc, att_total, lm_total, config)
@@ -365,7 +367,6 @@ def reference_decode(posteriors, lm, att, config):
         del complete[config.n_best :]
         if step == max_len or not beam:
             break
-        ctc_scores = scorer.candidate_scores([hyp[1] for hyp in beam], columns)
         candidates = []
         for j, hyp in enumerate(beam):
             for i, label in enumerate(labels):
@@ -374,7 +375,7 @@ def reference_decode(posteriors, lm, att, config):
                 except EmptyWordError:
                     continue
                 att_step, att_state = att.score(hyp[6], label)
-                ctc = float(ctc_scores[j, i])
+                ctc = scorer.candidate_scores(hyp[1], [columns[i]]).item()
                 att_total = hyp[3] + att_step
                 lm_total = hyp[4] + lm_step
                 joint = combine_scores(ctc, att_total, lm_total, config)
@@ -383,9 +384,10 @@ def reference_decode(posteriors, lm, att, config):
                 )
         candidates.sort(key=lambda cand: (-cand[6], cand[0]))
         del candidates[config.beam_width :]
-        states = scorer.extended_states(
-            [beam[c[1]][1] for c in candidates], columns=[columns[c[2]] for c in candidates]
-        )
+        states = [
+            scorer.extended_states(beam[c[1]][1], columns=[columns[c[2]]], log_prefix=[c[3]])
+            for c in candidates
+        ]
         beam = [(c[0], state, *c[3:]) for c, state in zip(candidates, states)]
         if len(complete) == config.n_best and all(bound(h) < complete[-1][4] for h in beam):
             break

@@ -206,7 +206,7 @@ def test_synth_vocabulary_deterministic_and_distinct():
 
 def test_synth_vocabulary_capacity_guard():
     with pytest.raises(ValueError, match="alphabet too small"):
-        synth_vocabulary(10, alphabet="ab", min_len=1, max_len=1)
+        synth_vocabulary(200, alphabet="ab")
 
 
 def test_markov_text_sentences():

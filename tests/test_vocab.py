@@ -79,7 +79,7 @@ def test_label_set_is_sorted_chars_plus_separators(tiny_vocab):
 def test_lookup_returns_unk_for_unknown(tiny_vocab):
     assert tiny_vocab.lookup("cat") == 1
     assert tiny_vocab.lookup("dog") == tiny_vocab.unk_id
-    assert tiny_vocab.spelling(2) == "eats"
+    assert tiny_vocab.words[2] == "eats"
 
 
 def test_has_prefix():
