@@ -94,15 +94,15 @@ class PosteriorMatrix:
 class CtcBeam:
     """The CTC states of a whole beam, one column per hypothesis.
 
-    ``forward`` stacks the nonblank and blank vectors as (2, T, H); the
-    other fields are (H,) arrays.  ``transition`` is built once per beam
-    and serves both scoring and extension.
+    ``forward`` stacks the nonblank and blank vectors as (2, T, H), the
+    other arrays are (H,), and ``length`` is every hypothesis's label count.
+    ``transition`` is built once per beam and serves scoring and extension.
     """
 
     forward: np.ndarray
     last_column: np.ndarray
     log_prefix: np.ndarray
-    length: np.ndarray
+    length: int
 
     nonblank = property(lambda self: self.forward[0])
     blank = property(lambda self: self.forward[1])
@@ -113,7 +113,7 @@ class CtcBeam:
     def take(self, index: np.ndarray) -> CtcBeam:
         """The hypotheses at *index*, in that order, with the transition
         gathered too if it was already built."""
-        gathered = (self.last_column[index], self.log_prefix[index], self.length[index])
+        gathered = (self.last_column[index], self.log_prefix[index], self.length)
         beam = CtcBeam(self.forward[:, :, index], *gathered)
         if "transition" in vars(self):
             vars(beam)["transition"] = self.transition[:, :, index]
@@ -124,7 +124,7 @@ class CtcBeam:
         """Previous-frame blank and total masses, shifted so row t feeds
         frame t: (2, T, H).  Row 0 is 0.0 only for the empty prefix."""
         prev = np.empty_like(self.forward)
-        prev[:, 0] = np.where(self.length == 0, 0.0, NEG_INF)
+        prev[:, 0] = 0.0 if self.length == 0 else NEG_INF
         prev[0, 1:] = self.blank[:-1]
         np.logaddexp(self.blank[:-1], self.nonblank[:-1], out=prev[1, 1:])
         return prev
@@ -172,7 +172,7 @@ class CtcPrefixScorer:
     def initial_state(self) -> CtcBeam:
         """The beam of the empty prefix alone."""
         forward = np.stack([np.full(self._frames, NEG_INF), np.cumsum(self._log_blank)])
-        return CtcBeam(forward[:, :, None], np.array([-1]), np.zeros(1), np.zeros(1, dtype=int))
+        return CtcBeam(forward[:, :, None], np.array([-1]), np.zeros(1), 0)
 
     def column(self, label: str) -> int:
         col = self._columns.get(label)
@@ -190,7 +190,7 @@ class CtcPrefixScorer:
         before L feed nothing but ``-inf`` and the sum starts at row L
         (``logaddexp(-inf, x) == x`` exactly).
         """
-        start = min(*beam.length.tolist(), self._frames - 1)
+        start = min(beam.length, self._frames - 1)
         prev_blank, prev_total = beam.transition[:, start:]
         x = self._logp[start:, columns]
         scores = np.logaddexp.reduce(prev_total[:, :, None] + x[:, None, :], axis=0)
@@ -206,20 +206,19 @@ class CtcPrefixScorer:
         matching entry of *columns*; *log_prefix* holds their scores, taken
         from ``candidate_scores``.
 
-        Frames before a parent's length are ``-inf`` in both child vectors,
-        so each scan starts at the shortest parent's length.
+        Frames before the parents' length are ``-inf`` in both child vectors,
+        so each scan starts there.
         """
         columns = np.asarray(columns, dtype=np.intp)
         prev_blank, prev_total = parents.transition
         phi = np.where(parents.last_column == columns, prev_blank, prev_total)
         sums = self._sums[:, columns]
         blank_sums = self._sums[:, self._blank_column, None]
-        first = min(parents.length.tolist())
         forward = np.empty((2,) + sums.shape)
         nonblank, blank = forward
         last_nonblank = last_blank = NEG_INF
         for a, e in self._segments:
-            skip = min(max(first - a, 0), e - a)
+            skip = min(max(parents.length - a, 0), e - a)
             start = np.logaddexp(last_nonblank, phi[a])
             _log_linear_scan(nonblank[a:e], start, sums[a:e], phi[a + 1 : e], skip)
             start = np.logaddexp(last_blank, last_nonblank)

@@ -109,8 +109,9 @@ class CharLMScorer(_FusionScorer):
 class _WordScorer(_FusionScorer):
     """What the two word-LM scorers share.
 
-    A subclass says which word a word end commits (``_word_id``) and what
-    closing the pending word scores (``_close_word``), which is the
+    Both walk ``vocab.tree``: a state's ``node`` is ``ROOT`` with no pending
+    word and ``None`` once no word continues its spelling.  A subclass says
+    what closing the pending word scores (``_close_word``), which is the
     ``<space>`` entry; the ``<eos>`` entry closes any pending word, then adds
     ``log P(<eos> | word history)``.
     """
@@ -124,6 +125,7 @@ class _WordScorer(_FusionScorer):
             raise ValueError("oov_scale must be positive")
         self.word_model = word_model
         self.vocab = vocab
+        self.tree = vocab.tree
         self.oov_scale = oov_scale
         self._keep_words = word_model.order - 1
         self._log_oov_scale = math.log(oov_scale)
@@ -140,6 +142,11 @@ class _WordScorer(_FusionScorer):
     def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
         return history[-self._keep_words :] if self._keep_words else ()
 
+    def _word_id(self, state) -> int:
+        """The word a word-end label commits: the spelled word or ``<UNK>``."""
+        word_id = None if state.node is None else self.tree.word_end(state.node)
+        return self.vocab.unk_id if word_id is None else word_id
+
 
 # ======================================================================
 # multi-level character/word LM
@@ -150,7 +157,7 @@ class _WordScorer(_FusionScorer):
 class MultiLevelState:
     char_context: tuple[int, ...]
     word_history: tuple[int, ...]
-    pending: tuple[str, ...]
+    node: int | None  # the pending spelling's tree node; None once it leaves every word
     pending_logp: float  # character-LM log mass accumulated for the pending word
 
 
@@ -182,13 +189,13 @@ class MultiLevelScorer(_WordScorer):
         self._keep_chars = char_model.order - 1
 
     def initial_state(self, word_history: Sequence[int] = ()) -> MultiLevelState:
-        return MultiLevelState((), self._clip(tuple(word_history)), (), 0.0)
+        return MultiLevelState((), self._clip(tuple(word_history)), PrefixTree.ROOT, 0.0)
 
     def score_all(self, states: Sequence[MultiLevelState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
         out = np.array([self.char_model.log_rows(s.char_context) for s in states])
         for row, state in zip(out, states):
-            close = self._close_word(state) if state.pending else math.nan
+            close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state)
             row[self._space], row[self._eos_token] = close, self._eos(state, close)
         return out[:, tokens]
 
@@ -199,22 +206,18 @@ class MultiLevelScorer(_WordScorer):
         )
         if label in WORD_END_LABELS:
             history = self._clip(state.word_history + (self._word_id(state),))
-            return MultiLevelState(char_context, history, (), 0.0)
+            return MultiLevelState(char_context, history, PrefixTree.ROOT, 0.0)
         logp = self.char_model.log_rows(state.char_context)[token].item()
-        return MultiLevelState(
-            char_context, state.word_history, state.pending + (label,), state.pending_logp + logp
-        )
+        node = self.tree.descend(state.node, label)
+        return MultiLevelState(char_context, state.word_history, node, state.pending_logp + logp)
 
     def future_score_bound(self, state: MultiLevelState) -> float:
         # Closing the pending word recovers at most its character mass, and
-        # none if no vocabulary word continues its spelling (it closes as
+        # none once its spelling leaves the prefix tree (it closes as
         # <UNK>).  With oov_scale <= 1 every later factor is <= 1.
         if self.oov_scale > 1.0:
             return math.inf
-        return -state.pending_logp if self.vocab.has_prefix("".join(state.pending)) else 0.0
-
-    def _word_id(self, state: MultiLevelState) -> int:
-        return self.vocab.lookup("".join(state.pending))
+        return 0.0 if state.node is None else -state.pending_logp
 
     def _close_word(self, state: MultiLevelState) -> float:
         word_id = self._word_id(state)
@@ -254,7 +257,6 @@ class LookAheadScorer(_WordScorer):
 
     def __init__(self, word_model: NGramModel, vocab: Vocabulary, oov_scale: float = 1.0):
         super().__init__(word_model, vocab, oov_scale)
-        self.tree = PrefixTree.build(vocab)
         self.labels = frozenset(vocab.label_set)
         self._columns = {**self.tree.columns, SPACE: -2, EOS: -1}
         self._off_tree = np.append(np.zeros(len(self.tree.labels) + 1), math.nan)
@@ -307,11 +309,6 @@ class LookAheadScorer(_WordScorer):
         # correction cancels at most the accumulated mass, so with
         # oov_scale <= 1 no completion adds positive log mass.
         return 0.0 if self.oov_scale <= 1.0 else math.inf
-
-    def _word_id(self, state: LookAheadState) -> int:
-        """The word a word-end label commits: the spelled word or ``<UNK>``."""
-        word_id = None if state.node is None else self.tree.word_end(state.node)
-        return self.vocab.unk_id if word_id is None else word_id
 
     def _close_word(self, state: LookAheadState) -> float:
         word_id = self._word_id(state)

@@ -165,7 +165,8 @@ class NGramModel:
         ctx = self._observed(self._truncate(context))
         if ctx != context:
             return self.log_rows(ctx)
-        dist = self._interpolate(self._backoff(ctx[1:]), ctx) if ctx else self._unigram
+        full = ctx and len(ctx) == self.order - 1  # _backoff keeps only shorter ones
+        dist = self._interpolate(self._backoff(ctx[1:]), ctx) if full else self._backoff(ctx)
         row = np.array([math.log(p) for p in dist.tolist()])
         row.flags.writeable = False
         return row

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .vocab import EOS, SPACE, Vocabulary
-
 
 class PrefixTree:
     """Trie over word spellings, stored as arrays indexed by node (root 0).
@@ -25,8 +23,8 @@ class PrefixTree:
         self.lo, self.hi, self.word_id, self.child = lo, hi, word_id, child
 
     @classmethod
-    def build(cls, vocab: Vocabulary) -> "PrefixTree":
-        words = vocab.words
+    def build(cls, words: tuple[str, ...], letters: tuple[str, ...]) -> "PrefixTree":
+        """Tree of sorted distinct *words*, one child column per letter of sorted *letters*."""
         if not words:
             raise ValueError("vocabulary has no spelled words")
         # One zero-padded row of code points per word.  Words are sorted, so
@@ -38,7 +36,6 @@ class PrefixTree:
         # The extra column ends each comparison: a NUL equals the padding.
         same = np.c_[codes[1:] == codes[:-1], np.zeros(len(words) - 1, dtype=bool)]
         lcp = np.append(-1, np.minimum(same.argmin(1), lens[:-1]))
-        letters = [label for label in vocab.label_set if label not in (SPACE, EOS)]
         alphabet = np.array([ord(letter) for letter in letters], dtype=np.uint32)
         parts, owner, size = [], np.zeros(len(words), dtype=np.intp), 0
         for depth in range(codes.shape[1] + 1):

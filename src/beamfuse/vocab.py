@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .trie import PrefixTree
 
 SPACE = "<space>"
 EOS = "<eos>"
@@ -91,10 +93,9 @@ class Vocabulary:
         """ID of *word*, or ``unk_id`` when it is not in the vocabulary."""
         return self.word_ids.get(word, self.unk_id)
 
-    def has_prefix(self, prefix: str) -> bool:
-        """Whether some word's spelling starts with *prefix* (the empty one included)."""
-        i = bisect_left(self.words, prefix)
-        return i < len(self.words) and self.words[i].startswith(prefix)
+    @cached_property
+    def tree(self) -> PrefixTree:
+        return PrefixTree.build(self.words, self.label_set[:-2])  # not <space> or <eos>
 
     @property
     def spelled_count(self) -> int:

@@ -5,6 +5,8 @@ makes them oracles for it.
 """
 
 import itertools
+import math
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +69,40 @@ def ctc_brute_force_full(posteriors: PosteriorMatrix, labels: Sequence[str]) -> 
         if collapsed == target:
             total += p
     return total
+
+
+def ctc_log_brute_force(posteriors: PosteriorMatrix) -> tuple[dict, dict]:
+    """Log prefix and log exact-match probabilities of every label sequence,
+    by log-space path enumeration: a path scores the sum of its log
+    posteriors, and a sequence the log-sum-exp of its paths' scores, so no
+    probability underflows on the way.
+
+    Returns ``(prefix, full)``, two dicts keyed by label tuples; a sequence
+    that is missing has probability zero (``-inf``).
+    """
+    frames, width = posteriors.n_frames, len(posteriors.labels)
+    if width**frames > _ENUM_LIMIT:
+        raise ValueError("posterior matrix too large to enumerate")
+    with np.errstate(divide="ignore"):
+        logp = np.log(posteriors.probs).tolist()
+    prefix, full = defaultdict(list), defaultdict(list)
+    for path in itertools.product(range(width), repeat=frames):
+        score = math.fsum(logp[t][col] for t, col in enumerate(path))
+        if score == -math.inf:
+            continue
+        labels = tuple(posteriors.labels[c] for c in _collapse(path, posteriors.blank_index))
+        full[labels].append(score)
+        for end in range(len(labels) + 1):
+            prefix[labels[:end]].append(score)
+    return _log_sum_exp(prefix), _log_sum_exp(full)
+
+
+def _log_sum_exp(scores: dict) -> dict:
+    out = {}
+    for key, values in scores.items():
+        top = max(values)
+        out[key] = top + math.log(math.fsum(math.exp(v - top) for v in values))
+    return out
 
 
 def greedy_decode(posteriors: PosteriorMatrix) -> list[str]:

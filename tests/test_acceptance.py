@@ -25,7 +25,6 @@ from beamfuse import (
     MarkovText,
     MultiLevelScorer,
     PosteriorMatrix,
-    PrefixTree,
     Vocabulary,
     char_error_rate,
     ctc_final,
@@ -92,7 +91,7 @@ def vocab_family():
         chain = MarkovText(words, seed=2000 + v)
         corpus = chain.sentences(max(30, size // 2), 3, 6, seed=3000 + v)
         model = train_ngram(corpus, 2, "word", vocab)
-        tree = PrefixTree.build(vocab)
+        tree = vocab.tree
         n_tokens = len(model.tokens)
         contexts = []
         for _ in range(100):

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfuse import (
     BLANK,
@@ -21,7 +23,7 @@ from beamfuse import (
     PosteriorMatrix,
     ctc_final,
 )
-from oracles import ctc_brute_force, ctc_brute_force_full, greedy_decode
+from oracles import ctc_brute_force, ctc_brute_force_full, ctc_log_brute_force, greedy_decode
 
 
 def uniform_matrix(frames=2, labels=("a", "b", BLANK)):
@@ -201,7 +203,7 @@ def reference_extension(scorer, beam, j, column):
         logp = np.log(scorer.matrix.probs)
     x = logp[:, column]
     log_blank = logp[:, scorer.matrix.blank_index]
-    prev_blank = np.concatenate(([0.0 if beam.length[j] == 0 else -np.inf], beam.blank[:-1, j]))
+    prev_blank = np.concatenate(([0.0 if beam.length == 0 else -np.inf], beam.blank[:-1, j]))
     prev_nonblank = np.concatenate(([-np.inf], beam.nonblank[:-1, j]))
     phi = prev_blank if beam.last_column[j] == column else np.logaddexp(prev_blank, prev_nonblank)
     nonblank = np.empty(frames)
@@ -214,12 +216,14 @@ def reference_extension(scorer, beam, j, column):
     return nonblank, blank
 
 
-def assert_matches_reference(got, want):
+def assert_matches_reference(got, want, rtol=1e-10):
+    """Log values agree to *rtol* relative to max(1, |want|), and are -inf
+    exactly where *want* is."""
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     finite = np.isfinite(want)
     assert np.isfinite(got[finite]).all()
     err = np.abs(got[finite] - want[finite])
-    assert (err <= 1e-10 * np.maximum(1.0, np.abs(want[finite]))).all()
+    assert (err <= rtol * np.maximum(1.0, np.abs(want[finite]))).all()
 
 
 def check_against_reference(mat, paths):
@@ -296,3 +300,48 @@ def test_batched_extension_is_bitwise_equal_to_single():
         single = extend_each(scorer, parents.take([parent]), [col])
         assert np.array_equal(single.nonblank[:, 0], batch.nonblank[:, k])
         assert np.array_equal(single.blank[:, 0], batch.blank[:, k])
+
+
+@st.composite
+def hard_matrices(draw):
+    """Up to 5 frames over up to 3 labels and <blank>: a softmax of logits
+    scaled x1 to x700, with exact zeros, one-hot rows and equal columns."""
+    frames = draw(st.integers(1, 5))
+    labels = ("a", "b", "c")[: draw(st.integers(1, 3))] + (BLANK,)
+    width = len(labels)
+    unit = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    row = st.lists(unit, min_size=width, max_size=width)
+    logits = np.array(draw(st.lists(row, min_size=frames, max_size=frames)))
+    if draw(st.booleans()):  # equal columns: exact ties
+        logits[:, draw(st.integers(0, width - 1))] = logits[:, draw(st.integers(0, width - 1))]
+    logits *= draw(st.sampled_from([1.0, 700.0]) | st.floats(1.0, 700.0))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    zeros = np.array(draw(st.lists(st.booleans(), min_size=probs.size, max_size=probs.size)))
+    probs[zeros.reshape(probs.shape) & (probs < 1.0)] = 0.0  # each row keeps its largest
+    for t in draw(st.sets(st.integers(0, frames - 1))):
+        probs[t] = np.eye(width)[draw(st.integers(0, width - 1))]
+    return PosteriorMatrix(labels, probs / probs.sum(axis=1, keepdims=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(matrix=hard_matrices())
+def test_scores_match_log_domain_enumeration(matrix):
+    """Over every label sequence up to one label longer than the matrix,
+    each candidate and exact-match score is within 1e-12 of log-domain path
+    enumeration (relative to max(1, |oracle|)), and -inf exactly where it is."""
+    prefix, full = ctc_log_brute_force(matrix)
+    scorer = CtcPrefixScorer(matrix)
+    labels = matrix.char_labels
+    columns = [scorer.column(label) for label in labels]
+    beam, sequences = scorer.initial_state(), [()]
+    for _ in range(matrix.n_frames + 1):
+        want = [full.get(seq, -math.inf) for seq in sequences]
+        assert_matches_reference(ctc_final(beam), np.array(want), rtol=1e-12)
+        scores = scorer.candidate_scores(beam, columns).ravel()
+        sequences = [seq + (label,) for seq in sequences for label in labels]
+        want = [prefix.get(seq, -math.inf) for seq in sequences]
+        assert_matches_reference(scores, np.array(want), rtol=1e-12)
+        parents = np.repeat(np.arange(len(beam)), len(columns))
+        beam = scorer.extended_states(
+            beam.take(parents), columns=columns * len(beam), log_prefix=scores
+        )

@@ -33,7 +33,7 @@ from beamfuse import (
     train_ngram,
 )
 from beamfuse.fusion import LookAheadState
-from tree_walk import children
+from tree_walk import children, walk
 
 LOG7 = math.log(1 / 7)
 LOG5 = math.log(1 / 5)
@@ -102,7 +102,7 @@ def ml(uniform_char_lm, uniform_word_lm, tiny_vocab):
 def test_multilevel_in_word_charges_char_lm(ml):
     total, state = spell(ml, ml.initial_state(), "cat")
     assert total == pytest.approx(3 * LOG7, abs=1e-12)
-    assert state.pending == ("c", "a", "t")
+    assert state.node == walk(ml.tree, "cat") and ml.tree.word_end(state.node) == 1
     assert state.pending_logp == pytest.approx(3 * LOG7, abs=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_multilevel_boundary_swaps_in_word_probability(ml):
     _, state = spell(ml, ml.initial_state(), "cat")
     logp, state = ml.score(state, SPACE)
     assert math.exp(logp) == pytest.approx(68.6, abs=1e-9)
-    assert state.pending == ()
+    assert state.node == PrefixTree.ROOT
     assert state.pending_logp == 0.0
     assert state.word_history == (1,)
 
@@ -325,6 +325,14 @@ def test_word_model_vocabulary_mismatch_rejected(uniform_char_lm, uniform_word_l
         LookAheadScorer(uniform_word_lm, other)
 
 
+def test_one_vocabulary_builds_one_tree(uniform_char_lm, uniform_word_lm, tiny_vocab):
+    """Both word scorers walk the vocabulary's own prefix tree."""
+    ml = MultiLevelScorer(uniform_char_lm, uniform_word_lm, tiny_vocab)
+    la = LookAheadScorer(uniform_word_lm, tiny_vocab)
+    assert ml.tree is la.tree is tiny_vocab.tree
+    assert LookAheadScorer(uniform_word_lm, tiny_vocab, oov_scale=0.5).tree is tiny_vocab.tree
+
+
 def test_scorer_label_inventories(ml, la, uniform_char_lm, tiny_vocab):
     assert ml.labels == frozenset(uniform_char_lm.tokens)
     assert la.labels == frozenset(tiny_vocab.label_set)
@@ -335,9 +343,11 @@ def test_scorer_label_inventories(ml, la, uniform_char_lm, tiny_vocab):
 # ----------------------------------------------------------------------
 
 
-def reference_score(scorer, state, label):
+def reference_score(scorer, state, label, spelling=""):
     """The per-label scoring rule each scorer applied before batching, with
-    ``<eos>`` scored as ``reference_final``.
+    ``<eos>`` scored as ``reference_final``.  The multi-level rule reads the
+    pending word from *spelling*, not from the state's tree node, and its
+    child's fields hold the child's spelling in the node's place.
 
     Returns (log score, child state fields), or None where ``<space>`` would
     close an empty word.
@@ -348,17 +358,17 @@ def reference_score(scorer, state, label):
         context = (state.context + (token,))[-keep:] if keep else ()
         return math.log(scorer.model.prob(token, state.context)), (context,)
     if isinstance(scorer, MultiLevelScorer):
-        return _reference_multilevel(scorer, state, label)
+        return _reference_multilevel(scorer, state, label, spelling)
     return _reference_lookahead(scorer, state, label)
 
 
-def reference_final(scorer, state):
+def reference_final(scorer, state, spelling=""):
     """``final`` as it was before it became the ``<eos>`` column: close any
     pending word, then add log P(<eos> | word history)."""
     if isinstance(scorer, CharLMScorer):
         return reference_score(scorer, state, EOS)[0]
     boundary, history = 0.0, state.word_history
-    closed = reference_score(scorer, state, SPACE)
+    closed = reference_score(scorer, state, SPACE, spelling)
     if closed is not None:
         boundary, history = closed[0], scorer.advance(state, SPACE).word_history
     return boundary + math.log(scorer.word_model.prob(scorer.vocab.eos_id, history))
@@ -369,25 +379,31 @@ def _clip(history, model):
     return history[-keep:] if keep else ()
 
 
-def _reference_multilevel(scorer, state, label):
+def _reference_multilevel(scorer, state, label, spelling):
     token = scorer.char_model.token_ids[label]
     keep = scorer.char_model.order - 1
     char_context = (state.char_context + (token,))[-keep:] if keep else ()
     if label in (SPACE, EOS):
-        word_id = scorer.vocab.lookup("".join(state.pending))
+        word_id = scorer.vocab.lookup(spelling)
         logp = math.log(scorer.word_model.prob(word_id, state.word_history))
         if word_id == scorer.vocab.unk_id:
             logp += math.log(scorer.oov_scale)
         else:
             logp -= state.pending_logp
         history = _clip(state.word_history + (word_id,), scorer.word_model)
-        child = (char_context, history, (), 0.0)
+        child = (char_context, history, "", 0.0)
         if label == EOS:
-            return reference_final(scorer, state), child
-        return (logp, child) if state.pending else None
+            return reference_final(scorer, state, spelling), child
+        return (logp, child) if spelling else None
     logp = math.log(scorer.char_model.prob(token, state.char_context))
-    pending = state.pending + (label,)
-    return logp, (char_context, state.word_history, pending, state.pending_logp + logp)
+    return logp, (char_context, state.word_history, spelling + label, state.pending_logp + logp)
+
+
+def _reference_multilevel_bound(scorer, state, spelling):
+    """The pending character mass while some word can still close, else 0
+    (for an OOV scale <= 1)."""
+    continues = any(word.startswith(spelling) for word in scorer.vocab.words)
+    return -state.pending_logp if continues else 0.0
 
 
 def _reference_lookahead(scorer, state, label):
@@ -427,10 +443,20 @@ def _fields(state):
     return tuple(getattr(state, name) for name in state.__slots__)
 
 
+def _reference_fields(scorer, fields):
+    """Reference child fields as the scorer's state holds them: a multi-level
+    child's spelling becomes the node that spelling walks to."""
+    if isinstance(scorer, MultiLevelScorer):
+        char_context, history, spelling, pending_logp = fields
+        return char_context, history, walk(scorer.tree, spelling), pending_logp
+    return fields
+
+
 def _reachable_states(scorer):
-    """Root, in-word, word-end, off-tree, OOV-closed and post-boundary states."""
+    """Root, in-word, word-end, off-tree, OOV-closed and post-boundary states,
+    and the spelling of each one's pending word."""
     spellings = ["", "c", "ca", "cat", "a", "ea", "e", "ec", "ecc", "ta"]
-    states = []
+    states, pending = [], []
     if isinstance(scorer, CharLMScorer):
         histories = [(), ("a", SPACE), ("t",)]
     else:
@@ -441,10 +467,12 @@ def _reachable_states(scorer):
             for label in spelling:
                 state = scorer.score(state, label)[1]
             states.append(state)
+            pending.append(spelling)
             if spelling:
                 closed = scorer.score(state, SPACE)[1]
                 states.extend([closed, scorer.score(closed, "c")[1]])
-    return states
+                pending.extend(["", "c"])
+    return states, pending
 
 
 def _scorer_grid(uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, vocab):
@@ -474,7 +502,7 @@ def test_score_all_is_bitwise_the_per_label_rule(
     )
     kinds = set()
     for scorer in grid:
-        states = _reachable_states(scorer)
+        states, pending = _reachable_states(scorer)
         batch = scorer.score_all(states, labels)
         assert batch.shape == (len(states), len(labels))
         # a shuffled sub-batch gives the same rows
@@ -482,11 +510,15 @@ def test_score_all_is_bitwise_the_per_label_rule(
         assert np.array_equal(
             scorer.score_all([states[j] for j in picked], labels), batch[picked], equal_nan=True
         )
-        for j, state in enumerate(states):
+        for j, (state, spelling) in enumerate(zip(states, pending)):
             if isinstance(state, LookAheadState):
                 kinds.add("root" if state.node == 0 else "off" if state.node is None else "in")
+            if isinstance(scorer, MultiLevelScorer):
+                assert state.node == walk(scorer.tree, spelling)
+                bound = _reference_multilevel_bound(scorer, state, spelling)
+                assert scorer.future_score_bound(state) == bound
             for i, label in enumerate(labels):
-                want = reference_score(scorer, state, label)
+                want = reference_score(scorer, state, label, spelling)
                 if want is None:
                     assert math.isnan(batch[j, i])
                     with pytest.raises(EmptyWordError):
@@ -494,8 +526,8 @@ def test_score_all_is_bitwise_the_per_label_rule(
                     continue
                 logp, child = scorer.score(state, label)
                 assert batch[j, i].hex() == logp.hex() == want[0].hex()
-                assert _fields(child) == want[1]
-                assert _fields(scorer.advance(state, label)) == want[1]
+                fields = _reference_fields(scorer, want[1])
+                assert _fields(child) == _fields(scorer.advance(state, label)) == fields
     assert kinds == {"root", "in", "off"}
 
 
@@ -509,11 +541,13 @@ def test_eos_column_and_final_are_bitwise_the_old_final(
         uniform_char_lm, trained_char_lm, uniform_word_lm, trained_word_lm, tiny_vocab
     )
     for scorer in grid:
-        states = _reachable_states(scorer)
+        states, pending = _reachable_states(scorer)
         column = scorer.score_all(states, [EOS])[:, 0].tolist()
-        for state, eos in zip(states, column):
-            assert eos.hex() == scorer.final(state).hex() == reference_final(scorer, state).hex()
-            if not isinstance(scorer, CharLMScorer) and reference_score(scorer, state, SPACE):
+        for state, spelling, eos in zip(states, pending, column):
+            want = reference_final(scorer, state, spelling)
+            assert eos.hex() == scorer.final(state).hex() == want.hex()
+            closes = reference_score(scorer, state, SPACE, spelling)
+            if not isinstance(scorer, CharLMScorer) and closes:
                 space_logp, child = scorer.score(state, SPACE)
                 assert eos.hex() == (space_logp + scorer.final(child)).hex()
 
@@ -522,7 +556,7 @@ def test_lookahead_keeps_scores_once_per_node_on_the_unigram_row(trained_word_lm
     """States whose history shares the unigram's row (no word, <UNK>) read
     one kept row per node; an observed history ("a") keeps nothing."""
     scorer = LookAheadScorer(trained_word_lm, tiny_vocab)
-    states = _reachable_states(scorer)
+    states, _ = _reachable_states(scorer)
     labels = list(tiny_vocab.label_set)
     first = scorer.score_all(states, labels)
     assert np.array_equal(scorer.score_all(states, labels), first, equal_nan=True)

@@ -221,9 +221,29 @@ def test_observed_context_with_an_unobserved_suffix():
     model = _hand_built_5gram()
     contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
     _assert_rows_match_reference(model, contexts)
-    # Only the suffixes an observed longer context backs off to: (3, 2, 0, 1)
-    # reads (2, 0, 1), which reads (1,) through the unobserved (0, 1).
-    assert set(model._backoff_rows) == {(1,), (2, 0, 1)}
+    # Every observed context shorter than order - 1: each one's log row reads
+    # it, and (3, 2, 0, 1) reads (2, 0, 1), which reads (1,) through the
+    # unobserved (0, 1).
+    assert set(model._backoff_rows) == {(0,), (1,), (3, 4), (2, 0, 1)}
+
+
+def test_each_observed_context_is_interpolated_at_most_once():
+    """Log rows, shortest contexts first: a short context's row is kept for
+    the longer contexts that back off to it."""
+    model = _hand_built_5gram()
+    seen = []
+    interpolate = model._interpolate
+
+    def counted(lower, ctx):
+        seen.append(ctx)
+        return interpolate(lower, ctx)
+
+    model._interpolate = counted
+    contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
+    for ctx in contexts:
+        model.log_rows(ctx)
+    observed = {ctx for level in model._counts[1:] for ctx in level}
+    assert sorted(seen) == sorted(observed)
 
 
 def test_unobserved_context_shares_the_row_of_its_longest_observed_suffix(

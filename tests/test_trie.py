@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from beamfuse import PrefixTree, Vocabulary
-from tree_walk import children, dump_lines
-
-
-def _walk(tree, word):
-    node = tree.ROOT
-    for ch in word:
-        node = tree.descend(node, ch)
-    return node
+from beamfuse import Vocabulary
+from tree_walk import children, dump_lines, walk
 
 
 def test_intervals_tiny_vocab(tiny_vocab):
-    tree = PrefixTree.build(tiny_vocab)
+    tree = tiny_vocab.tree
     assert tree.interval(tree.ROOT) == (0, 2)
     assert tree.word_end(tree.ROOT) is None
 
@@ -23,7 +16,7 @@ def test_intervals_tiny_vocab(tiny_vocab):
     assert tree.interval(node_c) == (1, 1)
     assert tree.word_end(node_c) is None
 
-    node_cat = _walk(tree, "cat")
+    node_cat = walk(tree, "cat")
     assert tree.interval(node_cat) == (1, 1)
     assert tree.word_end(node_cat) == 1
 
@@ -33,12 +26,12 @@ def test_intervals_tiny_vocab(tiny_vocab):
 
     node_e = tree.descend(tree.ROOT, "e")
     assert tree.interval(node_e) == (2, 2)
-    assert tree.word_end(_walk(tree, "eats")) == 2
+    assert tree.word_end(walk(tree, "eats")) == 2
 
 
 def test_shared_prefix_spans_both_words():
     vocab = Vocabulary.from_words(["ab", "ac"])
-    tree = PrefixTree.build(vocab)
+    tree = vocab.tree
     node_a = tree.descend(tree.ROOT, "a")
     assert tree.interval(node_a) == (0, 1)
     assert tree.word_end(node_a) is None
@@ -48,15 +41,27 @@ def test_shared_prefix_spans_both_words():
 
 def test_prefix_of_another_word_is_a_word_end():
     vocab = Vocabulary.from_words(["an", "ant"])
-    tree = PrefixTree.build(vocab)
-    node_an = _walk(tree, "an")
+    tree = vocab.tree
+    node_an = walk(tree, "an")
     assert tree.word_end(node_an) == 0
     assert tree.interval(node_an) == (0, 1)
 
 
+def test_descend_reaches_a_node_exactly_on_a_word_prefix():
+    """A spelling walks to a node exactly when some word starts with it: the
+    empty spelling, past the last word, NUL (the padding of the build) and a
+    non-ASCII letter included."""
+    vocab = Vocabulary.from_words(["ab", "abd", "b\x00c", "caf\u00e9"], letters="abcdefz")
+    spellings = ["", "a", "ab", "abd", "abc", "ac", "d", "z", "abdz"]
+    for spelling in spellings + ["b\x00", "b\x00c", "b\x00d", "bc", "caf\u00e9", "cafe"]:
+        starts = any(word.startswith(spelling) for word in vocab.words)
+        assert (walk(vocab.tree, spelling) is not None) == starts, spelling
+    assert walk(vocab.tree, "") == vocab.tree.ROOT
+
+
 def test_descend_absorbs_none_and_misses():
     vocab = Vocabulary.from_words(["ab"])
-    tree = PrefixTree.build(vocab)
+    tree = vocab.tree
     assert tree.descend(tree.ROOT, "z") is None
     assert tree.descend(None, "a") is None
 
@@ -73,7 +78,7 @@ def test_intervals_match_startswith_enumeration():
             for _ in range(n)
         }
         vocab = Vocabulary.from_words(words)
-        tree = PrefixTree.build(vocab)
+        tree = vocab.tree
 
         stack = [(tree.ROOT, "")]
         spelled = set()
@@ -92,11 +97,11 @@ def test_intervals_match_startswith_enumeration():
 def test_len_counts_nodes():
     vocab = Vocabulary.from_words(["ab", "ac"])
     # root, a, ab, ac
-    assert len(PrefixTree.build(vocab)) == 4
+    assert len(vocab.tree) == 4
 
 
 def test_dump_lines_format(tiny_vocab):
-    tree = PrefixTree.build(tiny_vocab)
+    tree = tiny_vocab.tree
     lines = dump_lines(tree)
     assert lines[0] == "\t0\t2\t-"
     assert "a\t0\t0\t0" in lines

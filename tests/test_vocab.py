@@ -82,17 +82,6 @@ def test_lookup_returns_unk_for_unknown(tiny_vocab):
     assert tiny_vocab.words[2] == "eats"
 
 
-def test_has_prefix():
-    vocab = Vocabulary.from_words(["ab", "abd", "b\x00c", "caf\u00e9"])
-    assert vocab.has_prefix("")
-    assert vocab.has_prefix("a") and vocab.has_prefix("ab") and vocab.has_prefix("abd")
-    assert not vocab.has_prefix("abc") and not vocab.has_prefix("ac")
-    assert not vocab.has_prefix("d")  # past the last word
-    assert vocab.has_prefix("b\x00") and vocab.has_prefix("b\x00c")
-    assert not vocab.has_prefix("b\x00d") and not vocab.has_prefix("bc")
-    assert vocab.has_prefix("caf\u00e9") and not vocab.has_prefix("cafe")
-
-
 def test_from_words_rejects_bad_spellings():
     with pytest.raises(ValueError):
         Vocabulary.from_words(["a", ""])

@@ -1,6 +1,14 @@
 """Walking a ``PrefixTree`` node by node, which only the tests need."""
 
 
+def walk(tree, spelling) -> int | None:
+    """The node *spelling* descends to from the root, or None off the tree."""
+    node = tree.ROOT
+    for letter in spelling:
+        node = tree.descend(node, letter)
+    return node
+
+
 def children(tree, node: int) -> dict[str, int]:
     """Label-to-child map of *node*, in label order."""
     return {k: c for k, c in zip(tree.labels, tree.child[node].tolist()) if c >= 0}
