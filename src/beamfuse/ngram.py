@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import pickle
-from functools import lru_cache
-from itertools import chain
+from array import array
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +31,7 @@ _VERSION = 1
 
 MAX_ORDER = 5
 ROW_CACHE_BYTES = 4 * 2**20  # what a model's cached cumulative-sum rows may take
+_INT64_MAX = 2**63 - 1
 
 
 class NGramModel:
@@ -62,37 +64,27 @@ class NGramModel:
         self.order = order
         self.level = level
         self.tokens = tuple(tokens)
-        self.token_ids = {token: i for i, token in enumerate(self.tokens)}
-        if len(self.token_ids) != len(self.tokens):
+        if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate tokens in inventory")
         if not self.tokens:
             raise ValueError("empty token inventory")
-        self._counts = counts if counts is not None else [{} for _ in range(order)]
-        if len(self._counts) != order:
+        if counts is None:
+            counts = [{} for _ in range(order)]
+        if len(counts) != order:
             raise ValueError("count tables do not match model order")
-        # Checked over distinct values, which keeps loading fast.
-        for m, level_counts in enumerate(self._counts):
-            if set(map(len, level_counts)) - {m}:
-                raise ValueError(f"counts[{m}] holds a context whose length is not {m}")
-            tables = level_counts.values()
-            ids = set(chain(chain.from_iterable(level_counts), chain.from_iterable(tables)))
-            if set(map(type, ids)) - {int} or not ids <= set(range(len(self.tokens))):
-                raise ValueError(f"counts[{m}] names a token ID outside the inventory")
-            counts = set(chain.from_iterable(map(dict.values, tables)))
-            if not all(tables) or set(map(type, counts)) - {int} or min(counts, default=1) < 1:
-                raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
-        self._totals = [
-            {ctx: sum(table.values()) for ctx, table in level_counts.items()}
-            for level_counts in self._counts
-        ]
+        self._tables = [_CountTable(m, tables, len(self.tokens)) for m, tables in enumerate(counts)]
         # The uniform base distribution interpolated with the unigram counts.
         self._unigram = self._interpolate(np.full(len(self.tokens), 1.0 / len(self.tokens)), ())
         self._unigram.flags.writeable = False
         self._backoff_rows: dict[tuple[int, ...], np.ndarray] = {}
+        self._log_rows: dict[tuple[int, ...], np.ndarray] = {}
         row_cache = lru_cache(ROW_CACHE_BYTES // (8 * len(self.tokens) + 8))
         self.cumsums = row_cache(self._cumsums_uncached)
-        # No more keys than observed contexts, so never more rows.
-        self.log_rows = lru_cache(1 + sum(map(len, self._counts[1:])))(self._log_row_uncached)
+
+    @cached_property
+    def token_ids(self) -> dict[str, int]:
+        """Token ID of each token string, built on first use."""
+        return {token: i for i, token in enumerate(self.tokens)}
 
     # ------------------------------------------------------------------
     # queries
@@ -107,14 +99,17 @@ class NGramModel:
         if not 0 <= token < len(self.tokens):
             raise ValueError(f"token ID {token} outside inventory of {len(self.tokens)}")
         context = self._truncate(context)
-        p = float(self._unigram[token])
+        p = self._unigram.item(token)
         for m in range(1, len(context) + 1):
-            ctx = context[len(context) - m:]
-            table = self._counts[m].get(ctx)
-            if table is None:
+            table = self._tables[m]
+            row = table.rows.get(context[len(context) - m:])
+            if row is None:
                 continue
-            types = len(table)
-            p = (table.get(token, 0) + types * p) / (self._totals[m][ctx] + types)
+            start, stop = table.offsets[row], table.offsets[row + 1]
+            seen = table.tokens[start:stop]
+            count = table.counts[start + seen.index(token)] if token in seen else 0
+            types = stop - start
+            p = (count + types * p) / (table.totals[row] + types)
         return p
 
     def full_distribution(self, context: Sequence[int]) -> np.ndarray:
@@ -128,14 +123,15 @@ class NGramModel:
     def _interpolate(self, lower: np.ndarray, ctx: tuple[int, ...]) -> np.ndarray:
         """One Witten-Bell level over *lower*, the distribution after ``ctx[1:]``:
         a new vector, or *lower* itself when *ctx* was never observed."""
-        table = self._counts[len(ctx)].get(ctx)
-        if table is None:
+        table = self._tables[len(ctx)]
+        row = table.rows.get(ctx)
+        if row is None:
             return lower
-        types = len(table)
+        start, stop = table.offsets[row], table.offsets[row + 1]
+        types = stop - start
         dist = lower * types
-        for token, count in table.items():
-            dist[token] += count
-        dist /= self._totals[len(ctx)][ctx] + types
+        dist[table.token_array[start:stop]] += table.count_array[start:stop]  # each token once
+        dist /= table.totals[row] + types
         return dist
 
     def _backoff(self, ctx: tuple[int, ...]) -> np.ndarray:
@@ -150,7 +146,7 @@ class NGramModel:
 
     def _observed(self, ctx: tuple[int, ...]) -> tuple[int, ...]:
         """Longest suffix of *ctx* seen in training: its distribution, bit for bit."""
-        while ctx and ctx not in self._counts[len(ctx)]:
+        while ctx and ctx not in self._tables[len(ctx)].rows:
             ctx = ctx[1:]
         return ctx
 
@@ -159,12 +155,20 @@ class NGramModel:
         row.flags.writeable = False
         return row
 
-    def _log_row_uncached(self, context: tuple[int, ...]) -> np.ndarray:
-        # Bitwise math.log(self.prob(token, context)) (np.log can differ in the
-        # last bit).  As wide as the inventory, so word fusion does not use it.
-        ctx = self._observed(self._truncate(context))
-        if ctx != context:
-            return self.log_rows(ctx)
+    def log_rows(self, context: tuple[int, ...]) -> np.ndarray:
+        """Read-only ``math.log(self.prob(token, context))`` of every token,
+        bit for bit (``np.log`` can differ in the last bit), kept once per
+        observed context.  As wide as the inventory, so word fusion does not
+        use it."""
+        row = self._log_rows.get(context)
+        if row is None:
+            ctx = self._observed(self._truncate(context))
+            row = self._log_rows.get(ctx)
+            if row is None:
+                row = self._log_rows[ctx] = self._log_row(ctx)
+        return row
+
+    def _log_row(self, ctx: tuple[int, ...]) -> np.ndarray:
         full = ctx and len(ctx) == self.order - 1  # _backoff keeps only shorter ones
         dist = self._interpolate(self._backoff(ctx[1:]), ctx) if full else self._backoff(ctx)
         row = np.array([math.log(p) for p in dist.tolist()])
@@ -180,6 +184,53 @@ class NGramModel:
     def cumulative_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Cached read-only cumulative sums, keyed by the observed suffix."""
         return self.cumsums(self._observed(self._truncate(context)))
+
+
+class _CountTable:
+    """The counts after every context of one length, flat.  ``rows`` maps each
+    observed context to its row r; the row's tokens are
+    ``tokens[offsets[r]:offsets[r + 1]]`` in the order the tables gave them,
+    with their ``counts``, and ``totals[r]`` is the row's sum.  Token IDs are
+    C ints, counts, totals and offsets int64; ``token_array`` and
+    ``count_array`` are read-only NumPy views of the same buffers."""
+
+    __slots__ = ("rows", "offsets", "tokens", "counts", "totals", "token_array", "count_array")
+
+    def __init__(self, m: int, level_counts: dict[tuple[int, ...], dict[int, int]], n_tokens: int):
+        """Checks ``counts[m]`` of the model constructor and stores it."""
+        if set(map(len, level_counts)) - {m}:
+            raise ValueError(f"counts[{m}] holds a context whose length is not {m}")
+        tables = list(level_counts.values())
+        ids = list(chain.from_iterable(tables))
+        counts = list(chain.from_iterable(map(dict.values, tables)))
+        # Checked over distinct values, which keeps loading fast.
+        named = set(ids).union(chain.from_iterable(level_counts))
+        if set(map(type, named)) - {int} or named and not 0 <= min(named) <= max(named) < n_tokens:
+            raise ValueError(f"counts[{m}] names a token ID outside the inventory")
+        distinct = set(counts)
+        if not all(tables) or set(map(type, distinct)) - {int} or min(distinct, default=1) < 1:
+            raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
+        # No row sums to more than the largest count times the number of counts.
+        if max(distinct, default=0) * len(counts) > _INT64_MAX:
+            if max(map(sum, map(dict.values, tables))) > _INT64_MAX:
+                raise ValueError(f"counts[{m}] holds a row whose counts sum above 2**63 - 1")
+        self.rows = dict(zip(level_counts, range(len(tables))))
+        self.offsets = array("q", accumulate(map(len, tables), initial=0))
+        self.tokens = array("i", ids)
+        self.counts = array("q", counts)
+        self.token_array = np.frombuffer(self.tokens, dtype=np.intc)
+        self.count_array = np.frombuffer(self.counts, dtype=np.int64)
+        self.token_array.flags.writeable = self.count_array.flags.writeable = False
+        starts = np.frombuffer(self.offsets, dtype=np.int64)[:-1]
+        self.totals = array("q", np.add.reduceat(self.count_array, starts).tobytes())
+
+    def as_dicts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """``counts[m]`` as the model constructor was given it."""
+        offsets, tokens, counts = self.offsets, self.tokens.tolist(), self.counts.tolist()
+        return {
+            ctx: dict(zip(tokens[offsets[r]:offsets[r + 1]], counts[offsets[r]:offsets[r + 1]]))
+            for ctx, r in self.rows.items()
+        }
 
 
 def _count_ngrams(
@@ -259,10 +310,7 @@ def save_model(model: NGramModel, path: str | Path) -> None:
         "order": model.order,
         "level": model.level,
         "tokens": list(model.tokens),
-        "counts": [
-            {ctx: dict(table) for ctx, table in level_counts.items()}
-            for level_counts in model._counts
-        ],
+        "counts": [table.as_dicts() for table in model._tables],
     }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)

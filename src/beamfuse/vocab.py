@@ -149,10 +149,13 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read one word per line, skipping blank lines; IDs are re-assigned in
     sorted order.  A bad word is reported as ``path:line``."""
     words = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    for number, word in enumerate(words, start=1):
-        if word:
-            try:
-                _check_word(word)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
-    return Vocabulary.from_words(word for word in words if word)
+    try:
+        return Vocabulary.from_words(word for word in words if word)
+    except ValueError:
+        for number, word in enumerate(words, start=1):  # find the first bad line
+            if word:
+                try:
+                    _check_word(word)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+        raise

@@ -296,6 +296,27 @@ def test_decode_out_of_inventory_counts_is_data_error(workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_decode_count_beyond_int64_is_data_error(workspace, capsys):
+    payload = pickle.loads((workspace / "char.lm").read_bytes())
+    table = payload["counts"][1][(0,)]
+    table[next(iter(table))] = 2**63  # one more than an int64 holds
+    bad = workspace / "huge.lm"
+    bad.write_bytes(pickle.dumps(payload))
+    code = main(
+        [
+            "decode",
+            "--posteriors", str(workspace / "data" / "utt_0000.tsv"),
+            "--lm-strategy", "char",
+            "--char-lm", str(bad),
+            "--out", str(workspace / "n.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "huge.lm: malformed language-model file" in err
+    assert "Traceback" not in err
+
+
 def test_bench_requires_three_repetitions(workspace, capsys):
     data = workspace / "data"
     code = main(

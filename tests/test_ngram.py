@@ -12,9 +12,11 @@ Bigram after "a": only "cat" follows, n = 1, t = 1, so
     p(cat | a) = (1 + 1 * 0.225) / (1 + 1) = 0.6125
 """
 
+import gc
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,27 +150,27 @@ def test_cumsum_cache_is_bounded_by_bytes():
     assert model.cumsums.cache_info().currsize * row.nbytes <= ROW_CACHE_BYTES
 
 
-def _reference_distribution(model, context):
+def _reference_distribution(model, counts, context):
     """The per-context Witten-Bell loop that backoff rows replaced: every
-    level folded from the unigram, with nothing cached."""
+    level folded from the uniform distribution, one token at a time, over
+    the count dicts *counts* the model was built from, with nothing cached."""
     context = tuple(context[-(model.order - 1):]) if model.order > 1 else ()
-    dist = model._unigram.copy()
-    for m in range(1, len(context) + 1):
-        ctx = context[len(context) - m:]
-        table = model._counts[m].get(ctx)
+    dist = np.full(len(model.tokens), 1.0 / len(model.tokens))
+    for m in range(len(context) + 1):
+        table = counts[m].get(context[len(context) - m:])
         if table is None:
             continue
         types = len(table)
         dist *= types
         for token, count in table.items():
             dist[token] += count
-        dist /= model._totals[m][ctx] + types
+        dist /= sum(table.values()) + types
     return dist
 
 
-def _assert_rows_match_reference(model, contexts):
+def _assert_rows_match_reference(model, counts, contexts):
     for ctx in contexts:
-        expected = _reference_distribution(model, ctx).tolist()
+        expected = _reference_distribution(model, counts, ctx).tolist()
         dist = model.full_distribution(ctx)
         assert list(map(float.hex, dist.tolist())) == list(map(float.hex, expected))
         logs = model.log_rows(tuple(ctx)).tolist()
@@ -178,9 +180,14 @@ def _assert_rows_match_reference(model, contexts):
         dist[:] = 0.0  # a fresh vector: writing it changes no later row
 
 
-def _backoff_contexts(model):
+def _observed_contexts(counts):
+    """Every context the count dicts name, the empty one included."""
+    return [ctx for level in counts for ctx in level]
+
+
+def _backoff_contexts(counts):
     """Observed contexts shorter than order - 1, the only ones the memo may hold."""
-    return {ctx for m in range(1, model.order - 1) for ctx in model._counts[m]}
+    return {ctx for level in counts[1:-1] for ctx in level}
 
 
 @pytest.fixture(scope="module")
@@ -190,37 +197,48 @@ def char_5gram():
     return train_ngram(sentences, 5, "char")
 
 
-def test_log_rows_match_the_reference_loop_on_a_char_5gram(char_5gram):
-    model = char_5gram
+@pytest.fixture(scope="module")
+def char_5gram_counts(char_5gram, tmp_path_factory):
+    """The 5-gram's count dicts as ``save_model`` wrote them."""
+    path = tmp_path_factory.mktemp("char_5gram") / "model.lm"
+    save_model(char_5gram, path)
+    return pickle.loads(path.read_bytes())["counts"]
+
+
+def test_log_rows_match_the_reference_loop_on_a_char_5gram(char_5gram, char_5gram_counts):
+    model, counts = char_5gram, char_5gram_counts
     rng = np.random.default_rng(12)
-    observed = [ctx for level in model._counts[1:] for ctx in level]
+    observed = _observed_contexts(counts[1:])
     unobserved = [tuple(int(c) for c in rng.integers(0, len(model.tokens), size=4))
                   for _ in range(200)]
-    assert any(ctx not in model._counts[4] for ctx in unobserved)
+    assert any(ctx not in counts[4] for ctx in unobserved)
     short = [ctx[-m:] for ctx in observed[::7] for m in range(len(ctx) + 1)]
-    _assert_rows_match_reference(model, observed + unobserved + short + [()])
-    assert set(model._backoff_rows) <= _backoff_contexts(model)
+    _assert_rows_match_reference(model, counts, observed + unobserved + short + [()])
+    assert set(model._backoff_rows) <= _backoff_contexts(counts)
     assert model._backoff_rows  # the 5-gram did memoize its backoff rows
 
 
-def _hand_built_5gram():
+def _hand_built_counts():
     """(2, 0, 1) is observed but (0, 1) is not, and (3, 4) is observed but
     (4,) is not."""
-    counts = [
+    return [
         {(): {0: 3, 1: 2, 2: 1, 3: 1, 4: 1}},
         {(1,): {2: 2, 0: 1}, (0,): {1: 1}},
         {(3, 4): {0: 4}},
         {(2, 0, 1): {3: 1, 4: 2}},
         {(3, 2, 0, 1): {1: 5}},
     ]
-    return NGramModel(5, "char", ["a", "b", "c", "d", "e"], counts=counts)
+
+
+def _hand_built_5gram():
+    return NGramModel(5, "char", ["a", "b", "c", "d", "e"], counts=_hand_built_counts())
 
 
 def test_observed_context_with_an_unobserved_suffix():
     """Both levels fall through to the shorter row."""
     model = _hand_built_5gram()
     contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
-    _assert_rows_match_reference(model, contexts)
+    _assert_rows_match_reference(model, _hand_built_counts(), contexts)
     # Every observed context shorter than order - 1: each one's log row reads
     # it, and (3, 2, 0, 1) reads (2, 0, 1), which reads (1,) through the
     # unobserved (0, 1).
@@ -228,8 +246,9 @@ def test_observed_context_with_an_unobserved_suffix():
 
 
 def test_each_observed_context_is_interpolated_at_most_once():
-    """Log rows, shortest contexts first: a short context's row is kept for
-    the longer contexts that back off to it."""
+    """Log rows of all 781 contexts, shortest first and then longest first: a
+    short context's row is kept for the longer contexts that back off to it,
+    and no unobserved context's lookup drops an observed context's row."""
     model = _hand_built_5gram()
     seen = []
     interpolate = model._interpolate
@@ -240,10 +259,9 @@ def test_each_observed_context_is_interpolated_at_most_once():
 
     model._interpolate = counted
     contexts = [ctx for m in range(5) for ctx in itertools.product(range(5), repeat=m)]
-    for ctx in contexts:
+    for ctx in contexts + contexts[::-1]:
         model.log_rows(ctx)
-    observed = {ctx for level in model._counts[1:] for ctx in level}
-    assert sorted(seen) == sorted(observed)
+    assert sorted(seen) == sorted(_observed_contexts(_hand_built_counts()[1:]))
 
 
 def test_unobserved_context_shares_the_row_of_its_longest_observed_suffix(
@@ -267,8 +285,8 @@ def test_unobserved_context_shares_the_row_of_its_longest_observed_suffix(
     assert word_lm.log_rows(eos) is word_lm.log_rows(())
 
 
-def test_backoff_memo_rows_are_read_only(char_5gram):
-    for ctx in list(char_5gram._counts[4])[:50]:
+def test_backoff_memo_rows_are_read_only(char_5gram, char_5gram_counts):
+    for ctx in list(char_5gram_counts[4])[:50]:
         char_5gram.log_rows(ctx)
     assert char_5gram._backoff_rows
     for row in char_5gram._backoff_rows.values():
@@ -277,29 +295,26 @@ def test_backoff_memo_rows_are_read_only(char_5gram):
             row[0] = 0.0
 
 
-def test_backoff_memo_holds_at_most_the_observed_short_contexts(char_5gram):
+def test_backoff_memo_holds_at_most_the_observed_short_contexts(char_5gram, char_5gram_counts):
     rng = np.random.default_rng(13)
     for _ in range(500):
         ctx = tuple(int(c) for c in rng.integers(0, len(char_5gram.tokens), size=4))
         char_5gram.log_rows(ctx)
-    for ctx in char_5gram._counts[4]:
+    for ctx in char_5gram_counts[4]:
         char_5gram.log_rows(ctx)
-    allowed = _backoff_contexts(char_5gram)
+    allowed = _backoff_contexts(char_5gram_counts)
     assert set(char_5gram._backoff_rows) <= allowed
     assert len(char_5gram._backoff_rows) <= len(allowed)
 
 
-def test_log_row_memo_holds_at_most_one_row_per_observed_context(char_5gram):
-    model = char_5gram
-    observed = 1 + sum(map(len, model._counts[1:]))  # the empty context counts too
-    assert model.log_rows.cache_parameters()["maxsize"] == observed
+def test_log_row_memo_holds_at_most_one_row_per_observed_context(char_5gram, char_5gram_counts):
+    model, observed = char_5gram, _observed_contexts(char_5gram_counts)
     rng = np.random.default_rng(14)
-    for _ in range(2 * observed):
+    for _ in range(2 * len(observed)):
         model.log_rows(tuple(int(c) for c in rng.integers(0, len(model.tokens), size=4)))
-    for level in model._counts:
-        for ctx in level:
-            model.log_rows(ctx)
-    assert model.log_rows.cache_info().currsize <= observed
+    for ctx in observed:
+        model.log_rows(ctx)
+    assert set(model._log_rows) == set(observed)
 
 
 def test_bigram_word_model_memoizes_nothing(trained_word_lm):
@@ -379,6 +394,55 @@ def test_save_load_round_trip(tmp_path, tiny_vocab):
         ctx = tuple(int(c) for c in rng.integers(0, 5, size=rng.integers(0, 3)))
         token = int(rng.integers(0, 5))
         assert loaded.prob(token, ctx) == model.prob(token, ctx)
+    again = tmp_path / "again.lm"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_model_writes_the_count_dicts_it_was_given(tmp_path):
+    """Contexts and each context's tokens keep the order they were given in."""
+    path = tmp_path / "model.lm"
+    save_model(_hand_built_5gram(), path)
+    payload = {
+        "format": "beamfuse-ngram",
+        "version": 1,
+        "order": 5,
+        "level": "char",
+        "tokens": ["a", "b", "c", "d", "e"],
+        "counts": _hand_built_counts(),
+    }
+    assert path.read_bytes() == pickle.dumps(payload)
+
+
+def _vocab20k_shaped_bigram():
+    """20,002 tokens, 11,430 seen ones, 11,429 one-word contexts and 16,326
+    entries after them, like the vocab20k benchmark's word model."""
+    rng = np.random.default_rng(20)
+    tokens = [f"w{i:05d}" for i in range(20000)] + ["<UNK>", EOS]
+    seen = rng.permutation(len(tokens))[:11430].tolist()
+    unigram = {token: 1 + i % 4 for i, token in enumerate(seen)}
+    followers = rng.choice(seen, 2 * len(seen)).tolist()
+    bigram = {}
+    for i, ctx in enumerate(seen[1:]):
+        pair = followers[2 * i:2 * i + 1 + (i % 7 < 3)]
+        bigram[(ctx,)] = {token: 1 + (i + j) % 3 for j, token in enumerate(pair)}
+    return NGramModel(2, "word", tokens, counts=[{(): unigram}, bigram])
+
+
+def test_loaded_word_bigram_retains_under_5_mib(tmp_path):
+    """Flat count tables: one dict per context retained 8.1 MiB here."""
+    path = tmp_path / "word.lm"
+    save_model(_vocab20k_shaped_bigram(), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = load_model(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert model.prob(0, (1,)) > 0.0
+    assert retained < 5 * 2**20
 
 
 def test_load_rejects_foreign_payload(tmp_path):
@@ -402,11 +466,23 @@ def test_load_rejects_foreign_payload(tmp_path):
         ([{(): {0: 1}}, {(0,): {"b": 1}}], "outside the inventory"),
         ([{(): {0: 1}}, {(0, 1): {1: 1}}], "length is not 1"),
         ([{(0,): {0: 1}}, {}], "length is not 0"),
+        ([{(): {0: 2**63}}, {}], "sum above"),  # does not fit an int64
+        ([{(): {0: 2**62, 1: 2**62}}, {}], "sum above"),  # each count does
     ],
 )
 def test_malformed_count_tables_are_rejected(counts, problem):
     with pytest.raises(ValueError, match=problem):
         NGramModel(2, "word", ["a", "b"], counts=counts)
+
+
+def test_counts_summing_to_the_int64_maximum_load():
+    model = NGramModel(2, "word", ["a", "b"], counts=[{(): {0: 2**62, 1: 2**62 - 1}}, {}])
+    assert model.prob(0, ()) == (2**62 + 2 * 0.5) / (2**63 - 1 + 2)
+
+
+def test_duplicate_tokens_are_rejected():
+    with pytest.raises(ValueError, match="duplicate tokens"):
+        NGramModel(2, "word", ["a", "b", "a"])
 
 
 def test_load_rejects_out_of_inventory_counts(tmp_path):
