@@ -5,7 +5,6 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .ctc import PosteriorMatrix
@@ -93,7 +92,3 @@ def format_report(rows: Sequence[BenchRow]) -> str:
             f"\t{row.cer:.4f}\t{row.wer:.4f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_report(rows: Sequence[BenchRow], path: str | Path) -> None:
-    Path(path).write_text(format_report(rows), encoding="utf-8")

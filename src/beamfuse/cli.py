@@ -160,8 +160,9 @@ def cmd_bench(args) -> int:
                 lm = _build_lm(strategy, inputs)
                 systems.append(bench_mod.BenchSystem(strategy, vocab.spelled_count, lm))
     rows = bench_mod.run_benchmark(utterances, systems, config, args.repetitions)
-    bench_mod.write_report(rows, args.out)
-    print(bench_mod.format_report(rows), end="")
+    report = bench_mod.format_report(rows)
+    Path(args.out).write_text(report, encoding="utf-8")
+    print(report, end="")
     print(f"report -> {args.out}")
     return 0
 
@@ -169,27 +170,31 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     if args.utterances < 1 or args.sentences < 1:
         return _usage_error("--utterances and --sentences must be >= 1")
+    # synth reads no file, so every ValueError below comes from a flag value.
+    # Nothing is written before all of it is generated.
+    try:
+        words = synth_vocabulary(args.vocab_size, seed=args.seed, alphabet=args.alphabet)
+        vocab = Vocabulary.from_words(words)
+        chain = MarkovText(words, seed=args.seed + 1)
+        corpus = chain.sentences(args.sentences, args.min_words, args.max_words, seed=args.seed + 2)
+        transcripts = chain.sentences(
+            args.utterances, args.min_words, args.max_words, seed=args.seed + 3
+        )
+        labels = ctc_labels(vocab)
+        matrices = [
+            synth_posteriors(utt, labels, args.frames_per_label, args.peak, seed=args.seed + 10 + i)
+            for i, utt in enumerate(transcripts)
+        ]
+    except ValueError as exc:
+        return _usage_error(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    words = synth_vocabulary(
-        args.vocab_size, seed=args.seed, alphabet=args.alphabet
-    )
-    vocab = Vocabulary.from_words(words)
-    chain = MarkovText(words, seed=args.seed + 1)
-    corpus = chain.sentences(args.sentences, args.min_words, args.max_words, seed=args.seed + 2)
-    transcripts = chain.sentences(
-        args.utterances, args.min_words, args.max_words, seed=args.seed + 3
-    )
     save_vocabulary(vocab, out_dir / "vocab.txt")
     (out_dir / "corpus.txt").write_text(
         "\n".join(" ".join(sentence) for sentence in corpus) + "\n", encoding="utf-8"
     )
-    labels = ctc_labels(vocab)
     manifest = []
-    for i, transcript in enumerate(transcripts):
-        matrix = synth_posteriors(
-            transcript, labels, args.frames_per_label, args.peak, seed=args.seed + 10 + i
-        )
+    for i, (transcript, matrix) in enumerate(zip(transcripts, matrices)):
         name = f"utt_{i:04d}.tsv"
         save_posteriors(matrix, out_dir / name)
         manifest.append(f"{name}\t{' '.join(transcript)}")

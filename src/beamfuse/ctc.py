@@ -111,12 +111,10 @@ class CtcBeam:
         return self.forward.shape[2]
 
     def take(self, index: np.ndarray) -> CtcBeam:
-        """The hypotheses at *index*, in that order, with the transition
-        gathered too if it was already built."""
+        """The hypotheses at *index*, in that order, with their transition."""
         gathered = (self.last_column[index], self.log_prefix[index], self.length)
         beam = CtcBeam(self.forward[:, :, index], *gathered)
-        if "transition" in vars(self):
-            vars(beam)["transition"] = self.transition[:, :, index]
+        vars(beam)["transition"] = self.transition[:, :, index]
         return beam
 
     @cached_property

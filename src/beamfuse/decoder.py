@@ -96,14 +96,13 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
 @dataclass(frozen=True)
 class _Beam:
     """The live hypotheses of one step: label sequences of equal length, in
-    lexicographic order.  The CTC score of each is its ``ctc.log_prefix``."""
+    lexicographic order.  The CTC score of each is its ``ctc.log_prefix``;
+    ``scores`` and ``states`` hold the att slot's then the lm slot's."""
 
     labels: list[tuple[str, ...]]
     ctc: CtcBeam
-    att: np.ndarray
-    lm: np.ndarray
-    att_states: list
-    lm_states: list
+    scores: tuple[np.ndarray, np.ndarray]
+    states: tuple[list, list]
 
 
 class _Search:
@@ -118,15 +117,12 @@ class _Search:
                 if label not in scorer.labels:
                     raise ValueError(f"{role} scorer cannot score label {label!r}")
         self.columns = np.array([self.ctc.column(label) for label in self.labels], dtype=np.intp)
-        self.lm, self.att, self.config = lm, att, config
+        self.scorers, self.config = (att, lm), config
         self.max_len = config.max_len if config.max_len is not None else posteriors.n_frames
 
     def initial(self) -> _Beam:
-        ctc = self.ctc.initial_state()
-        lm = [None if self.lm is None else self.lm.initial_state()]
-        att = [None if self.att is None else self.att.initial_state()]
-        zero = np.zeros(1)
-        return _Beam([()], ctc, zero, zero, att, lm)
+        states = tuple([None if s is None else s.initial_state()] for s in self.scorers)
+        return _Beam([()], self.ctc.initial_state(), (np.zeros(1), np.zeros(1)), states)
 
     def finish(self, beam: _Beam, labels: list[str], complete: list[Hypothesis]):
         """Score *beam*'s extensions by *labels* and by ``<eos>``, one
@@ -135,8 +131,7 @@ class _Search:
         finishes *beam* into *complete*, which keeps the best ``n_best``;
         only a hypothesis that can enter it is built."""
         labels = [*labels, EOS]
-        att = self._totals(self.att, beam.att, beam.att_states, labels)
-        lm = self._totals(self.lm, beam.lm, beam.lm_states, labels)
+        att, lm = map(self._totals, self.scorers, beam.scores, beam.states, (labels, labels))
         ctc = ctc_final(beam.ctc)
         joint = combine_scores(ctc, att[:, -1], lm[:, -1], self.config)
         n_best = self.config.n_best
@@ -153,10 +148,9 @@ class _Search:
 
     def cannot_beat(self, beam: _Beam, worst: float) -> bool:
         """Whether no completion of any hypothesis in *beam* can exceed *worst*."""
-        slots = ((self.att, beam.att, beam.att_states), (self.lm, beam.lm, beam.lm_states))
         att, lm = (
             scores if scorer is None else scores + [scorer.future_score_bound(s) for s in states]
-            for scorer, scores, states in slots
+            for scorer, scores, states in zip(self.scorers, beam.scores, beam.states)
         )
         # -inf CTC plus an infinite bound is NaN, which beats nothing.
         with np.errstate(invalid="ignore"):
@@ -185,14 +179,13 @@ class _Search:
         ctc_beam = self.ctc.extended_states(
             beam.ctc.take(parents), columns=self.columns[cols], log_prefix=ctc[parents, cols]
         )
-        labels, lm_states, att_states = [], [], []
-        for j, i in zip(parents.tolist(), cols.tolist()):
-            label, lm_state, att_state = self.labels[i], beam.lm_states[j], beam.att_states[j]
-            labels.append(beam.labels[j] + (label,))
-            lm_states.append(None if self.lm is None else self.lm.advance(lm_state, label))
-            att_states.append(None if self.att is None else self.att.advance(att_state, label))
-        att, lm = att[parents, cols], lm[parents, cols]
-        return _Beam(labels, ctc_beam, att, lm, att_states, lm_states)
+        children = [(j, self.labels[i]) for j, i in zip(parents.tolist(), cols.tolist())]
+        labels = [beam.labels[j] + (label,) for j, label in children]
+        states = tuple(
+            [None if scorer is None else scorer.advance(held[j], label) for j, label in children]
+            for scorer, held in zip(self.scorers, beam.states)
+        )
+        return _Beam(labels, ctc_beam, (att[parents, cols], lm[parents, cols]), states)
 
     def _totals(self, scorer, scores: np.ndarray, states: list, labels: list[str]) -> np.ndarray:
         """Accumulated scores plus this step's, as an (H, len(labels)) matrix."""

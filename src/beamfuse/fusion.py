@@ -83,18 +83,16 @@ class CharLMScorer(_FusionScorer):
         self.model = model
         self.labels = frozenset(model.tokens)
         self._ids = model.token_ids
-        self._keep = model.order - 1
 
     def initial_state(self, context: Sequence[str] = ()) -> CharState:
-        return CharState(tuple(self._ids[label] for label in context)[-self._keep :] if self._keep else ())
+        return CharState(self.model.clip([self._ids[label] for label in context]))
 
     def score_all(self, states: Sequence[CharState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
         return np.array([self.model.log_rows(s.context) for s in states])[:, tokens]
 
     def advance(self, state: CharState, label: str) -> CharState:
-        context = state.context + (self._ids[label],)
-        return CharState(context[-self._keep :] if self._keep else ())
+        return CharState(self.model.clip(state.context + (self._ids[label],)))
 
     def future_score_bound(self, state: CharState) -> float:
         """Upper bound on log mass any completion can still add (here zero)."""
@@ -127,7 +125,7 @@ class _WordScorer(_FusionScorer):
         self.vocab = vocab
         self.tree = vocab.tree
         self.oov_scale = oov_scale
-        self._keep_words = word_model.order - 1
+        self._clip = word_model.clip
         self._log_oov_scale = math.log(oov_scale)
 
     def _eos(self, state, close: float) -> float:
@@ -138,9 +136,6 @@ class _WordScorer(_FusionScorer):
         else:
             history = self._clip(history + (self._word_id(state),))
         return close + math.log(self.word_model.prob(self.vocab.eos_id, history))
-
-    def _clip(self, history: tuple[int, ...]) -> tuple[int, ...]:
-        return history[-self._keep_words :] if self._keep_words else ()
 
     def _word_id(self, state) -> int:
         """The word a word-end label commits: the spelled word or ``<UNK>``."""
@@ -186,10 +181,9 @@ class MultiLevelScorer(_WordScorer):
         self.labels = frozenset(char_model.tokens)
         self._ids = char_model.token_ids
         self._space, self._eos_token = self._ids[SPACE], self._ids[EOS]
-        self._keep_chars = char_model.order - 1
 
     def initial_state(self, word_history: Sequence[int] = ()) -> MultiLevelState:
-        return MultiLevelState((), self._clip(tuple(word_history)), PrefixTree.ROOT, 0.0)
+        return MultiLevelState((), self._clip(word_history), PrefixTree.ROOT, 0.0)
 
     def score_all(self, states: Sequence[MultiLevelState], labels: Sequence[str]) -> np.ndarray:
         tokens = _token_ids(self._ids, labels)
@@ -201,9 +195,7 @@ class MultiLevelScorer(_WordScorer):
 
     def advance(self, state: MultiLevelState, label: str) -> MultiLevelState:
         token = self._ids[label]
-        char_context = (
-            (state.char_context + (token,))[-self._keep_chars :] if self._keep_chars else ()
-        )
+        char_context = self.char_model.clip(state.char_context + (token,))
         if label in WORD_END_LABELS:
             history = self._clip(state.word_history + (self._word_id(state),))
             return MultiLevelState(char_context, history, PrefixTree.ROOT, 0.0)
@@ -264,7 +256,7 @@ class LookAheadScorer(_WordScorer):
         self._unigram_rows: dict[int, np.ndarray] = {}
 
     def initial_state(self, word_history: Sequence[int] = ()) -> LookAheadState:
-        return self._root_state(self._clip(tuple(word_history)))
+        return self._root_state(self._clip(word_history))
 
     def score_all(self, states: Sequence[LookAheadState], labels: Sequence[str]) -> np.ndarray:
         columns = _token_ids(self._columns, labels)  # tree column; -2 <space>, -1 <eos>
@@ -290,7 +282,7 @@ class LookAheadScorer(_WordScorer):
             base, unk = state.node_log_mass, state.unk_logp
             row = [unk if kid < 0 else math.log(m) - base for kid, m in zip(kids.tolist(), mass)]
             close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state)
-            eos = self._eos(state, close) if self._keep_words <= 1 or not shared else math.nan
+            eos = self._eos(state, close) if self.word_model.order <= 2 or not shared else math.nan
             row = np.array(row + [close, eos])
             if shared:
                 self._unigram_rows[state.node] = row

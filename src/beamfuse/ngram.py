@@ -98,7 +98,7 @@ class NGramModel:
         """
         if not 0 <= token < len(self.tokens):
             raise ValueError(f"token ID {token} outside inventory of {len(self.tokens)}")
-        context = self._truncate(context)
+        context = self.clip(context)
         p = self._unigram.item(token)
         for m in range(1, len(context) + 1):
             table = self._tables[m]
@@ -114,11 +114,7 @@ class NGramModel:
 
     def full_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Next-token distribution as a fresh vector indexed by token ID."""
-        context = self._truncate(context)
-        dist = self._unigram
-        for m in range(1, len(context) + 1):
-            dist = self._interpolate(dist, context[len(context) - m:])
-        return dist.copy() if dist is self._unigram else dist
+        return self._distribution(self._observed(self.clip(context))).copy()
 
     def _interpolate(self, lower: np.ndarray, ctx: tuple[int, ...]) -> np.ndarray:
         """One Witten-Bell level over *lower*, the distribution after ``ctx[1:]``:
@@ -150,8 +146,14 @@ class NGramModel:
             ctx = ctx[1:]
         return ctx
 
-    def _cumsums_uncached(self, context: tuple[int, ...]) -> np.ndarray:
-        row = cumulative_sums(self.full_distribution(context))
+    def _distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
+        """Distribution after the observed context *ctx*, not to be written:
+        the memoized backoff row, or one level over it at full length."""
+        full = ctx and len(ctx) == self.order - 1  # _backoff keeps only shorter ones
+        return self._interpolate(self._backoff(ctx[1:]), ctx) if full else self._backoff(ctx)
+
+    def _cumsums_uncached(self, ctx: tuple[int, ...]) -> np.ndarray:
+        row = cumulative_sums(self._distribution(ctx))
         row.flags.writeable = False
         return row
 
@@ -162,28 +164,22 @@ class NGramModel:
         use it."""
         row = self._log_rows.get(context)
         if row is None:
-            ctx = self._observed(self._truncate(context))
+            ctx = self._observed(self.clip(context))
             row = self._log_rows.get(ctx)
             if row is None:
-                row = self._log_rows[ctx] = self._log_row(ctx)
+                row = np.array([math.log(p) for p in self._distribution(ctx).tolist()])
+                row.flags.writeable = False
+                self._log_rows[ctx] = row
         return row
 
-    def _log_row(self, ctx: tuple[int, ...]) -> np.ndarray:
-        full = ctx and len(ctx) == self.order - 1  # _backoff keeps only shorter ones
-        dist = self._interpolate(self._backoff(ctx[1:]), ctx) if full else self._backoff(ctx)
-        row = np.array([math.log(p) for p in dist.tolist()])
-        row.flags.writeable = False
-        return row
-
-    def _truncate(self, context: Sequence[int]) -> tuple[int, ...]:
+    def clip(self, context: Sequence[int]) -> tuple[int, ...]:
+        """The last ``order - 1`` tokens of *context*, all that a query reads."""
         keep = self.order - 1
-        if keep == 0:
-            return ()
-        return tuple(context[-keep:])
+        return tuple(context[-keep:]) if keep else ()
 
     def cumulative_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Cached read-only cumulative sums, keyed by the observed suffix."""
-        return self.cumsums(self._observed(self._truncate(context)))
+        return self.cumsums(self._observed(self.clip(context)))
 
 
 class _CountTable:
@@ -203,12 +199,14 @@ class _CountTable:
         tables = list(level_counts.values())
         ids = list(chain.from_iterable(tables))
         counts = list(chain.from_iterable(map(dict.values, tables)))
-        # Checked over distinct values, which keeps loading fast.
+        # Ranges are checked over distinct values, which keeps loading fast,
+        # but types per element: a set hides True and 1.0 behind an equal 1.
         named = set(ids).union(chain.from_iterable(level_counts))
-        if set(map(type, named)) - {int} or named and not 0 <= min(named) <= max(named) < n_tokens:
+        types = set(map(type, ids)).union(map(type, chain.from_iterable(level_counts)))
+        if types - {int} or named and not 0 <= min(named) <= max(named) < n_tokens:
             raise ValueError(f"counts[{m}] names a token ID outside the inventory")
         distinct = set(counts)
-        if not all(tables) or set(map(type, distinct)) - {int} or min(distinct, default=1) < 1:
+        if not all(tables) or set(map(type, counts)) - {int} or min(distinct, default=1) < 1:
             raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
         # No row sums to more than the largest count times the number of counts.
         if max(distinct, default=0) * len(counts) > _INT64_MAX:

@@ -66,9 +66,6 @@ class Vocabulary:
     """
 
     words: tuple[str, ...]
-    word_ids: dict[str, int]
-    unk_id: int
-    eos_id: int
     label_set: tuple[str, ...]
 
     @classmethod
@@ -81,13 +78,14 @@ class Vocabulary:
         for word in (*unique, *letters):
             _check_word(word)
         chars = sorted({ch for word in (*unique, *letters) for ch in word})
-        return cls(
-            words=tuple(unique),
-            word_ids={word: i for i, word in enumerate(unique)},
-            unk_id=len(unique),
-            eos_id=len(unique) + 1,
-            label_set=tuple(chars) + (SPACE, EOS),
-        )
+        return cls(words=tuple(unique), label_set=tuple(chars) + (SPACE, EOS))
+
+    unk_id = property(lambda self: len(self.words))
+    eos_id = property(lambda self: len(self.words) + 1)
+
+    @cached_property
+    def word_ids(self) -> dict[str, int]:
+        return {word: i for i, word in enumerate(self.words)}
 
     def lookup(self, word: str) -> int:
         """ID of *word*, or ``unk_id`` when it is not in the vocabulary."""

@@ -483,6 +483,28 @@ def test_out_of_range_flag_values_exit_one(workspace, capsys, command, flag, val
     assert not (workspace / "flag.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--vocab-size", "0"],
+        ["--frames-per-label", "0"],
+        ["--peak", "2"],
+        ["--min-words", "0"],
+        ["--min-words", "3", "--max-words", "1"],
+        ["--seed", "-1"],
+        ["--alphabet", ""],
+    ],
+    ids=["vocab-size", "frames-per-label", "peak", "min-words", "min-above-max", "seed", "alphabet"],
+)
+def test_out_of_range_synth_flag_values_exit_one(workspace, capsys, flags):
+    out_dir = workspace / "synth-flag"
+    assert main(["synth", "--out-dir", str(out_dir), "--utterances", "2", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_argparse_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["decode", "--lm-strategy", "bogus", "--out", "x"])

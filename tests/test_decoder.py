@@ -617,3 +617,28 @@ def test_word_scorers_close_each_state_at_most_once(
                 decode(random_matrix(rng, 6, LABELS), lm, att, config)
         assert closed
         assert len({id(state) for state in closed}) == len(closed)
+
+
+@pytest.mark.parametrize("strategy", ["char", "multilevel", "lookahead"])
+def test_order_one_models_through_every_scorer(tiny_vocab, tiny_corpus, strategy):
+    """An order-1 model reads no context: a state keeps an empty context and
+    word history after a letter and after <space>, and a saturated beam
+    still reproduces exhaustive search bit for bit."""
+    char_lm = train_ngram(tiny_corpus, 1, "char", tiny_vocab)
+    word_lm = train_ngram(tiny_corpus, 1, "word", tiny_vocab)
+    if strategy == "char":
+        lm, start = CharLMScorer(char_lm), ["a", "c"]
+    elif strategy == "multilevel":
+        lm, start = MultiLevelScorer(char_lm, word_lm, tiny_vocab), [0, 1]
+    else:
+        lm, start = LookAheadScorer(word_lm, tiny_vocab), [0, 1]
+    state, fields = lm.initial_state(start), ("context", "char_context", "word_history")
+    for label in ("c", "a", "t", SPACE, "a", SPACE, "c"):
+        state = lm.advance(state, label)
+        held = [getattr(state, name) for name in fields if hasattr(state, name)]
+        assert held and all(context == () for context in held)
+    rng = np.random.default_rng(43)
+    config = DecodeConfig(ctc_weight=0.3, lm_weight=0.7, beam_width=4096, max_len=3, n_best=5)
+    for _ in range(4):
+        mat = random_matrix(rng, int(rng.integers(2, 5)), ("a", "c", SPACE, BLANK))
+        assert _bits(decode(mat, lm, None, config)) == _bits(exhaustive_decode(mat, lm, None, config))

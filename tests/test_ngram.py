@@ -475,6 +475,27 @@ def test_malformed_count_tables_are_rejected(counts, problem):
         NGramModel(2, "word", ["a", "b"], counts=counts)
 
 
+@pytest.mark.parametrize(
+    "counts, problem",
+    [
+        ([{(): {0: 1, 1: True}}, {}], "not an int > 0"),
+        ([{(): {0: 1, 1: 1}}, {(True,): {1: 1}}], "outside the inventory"),
+        ([{(): {0: 1, 1: 1.0}}, {}], "not an int > 0"),
+    ],
+    ids=["bool-count", "bool-context-token", "float-count"],
+)
+def test_count_types_are_checked_per_element(tmp_path, counts, problem):
+    """True == 1 == 1.0, so a check over distinct values would let a bool or
+    a float hide behind an equal int already in the table."""
+    with pytest.raises(ValueError, match=problem):
+        NGramModel(2, "word", ["a", "b"], counts=counts)
+    path = tmp_path / "model.lm"
+    payload = {"format": "beamfuse-ngram", "version": 1, "order": 2, "level": "word"}
+    path.write_bytes(pickle.dumps({**payload, "tokens": ["a", "b"], "counts": counts}))
+    with pytest.raises(ValueError, match="malformed language-model file"):
+        load_model(path)
+
+
 def test_counts_summing_to_the_int64_maximum_load():
     model = NGramModel(2, "word", ["a", "b"], counts=[{(): {0: 2**62, 1: 2**62 - 1}}, {}])
     assert model.prob(0, ()) == (2**62 + 2 * 0.5) / (2**63 - 1 + 2)
