@@ -27,7 +27,9 @@ import numpy as np
 from .vocab import EOS, SPACE, Vocabulary, to_char_labels
 
 _FORMAT = "beamfuse-ngram"
-_VERSION = 1
+_VERSION = 2
+# A model file's count table per context length: each field's little-endian dtype.
+_FIELDS = (("contexts", "<i4"), ("offsets", "<i8"), ("tokens", "<i4"), ("counts", "<i8"))
 
 MAX_ORDER = 5
 ROW_CACHE_BYTES = 4 * 2**20  # what a model's cached cumulative-sum rows may take
@@ -70,9 +72,14 @@ class NGramModel:
             raise ValueError("empty token inventory")
         if counts is None:
             counts = [{} for _ in range(order)]
-        if len(counts) != order:
+        n_tokens = len(self.tokens)
+        self._set_tables([_CountTable.from_dicts(m, c, n_tokens) for m, c in enumerate(counts)])
+
+    def _set_tables(self, tables: list[_CountTable]) -> None:
+        """Installs one checked count table per context length."""
+        if len(tables) != self.order:
             raise ValueError("count tables do not match model order")
-        self._tables = [_CountTable(m, tables, len(self.tokens)) for m, tables in enumerate(counts)]
+        self._tables = tables
         # The uniform base distribution interpolated with the unigram counts.
         self._unigram = self._interpolate(np.full(len(self.tokens), 1.0 / len(self.tokens)), ())
         self._unigram.flags.writeable = False
@@ -183,52 +190,94 @@ class NGramModel:
 
 
 class _CountTable:
-    """The counts after every context of one length, flat.  ``rows`` maps each
-    observed context to its row r; the row's tokens are
-    ``tokens[offsets[r]:offsets[r + 1]]`` in the order the tables gave them,
-    with their ``counts``, and ``totals[r]`` is the row's sum.  Token IDs are
-    C ints, counts, totals and offsets int64; ``token_array`` and
-    ``count_array`` are read-only NumPy views of the same buffers."""
+    """The counts after every context of one length m, flat.  ``rows`` maps
+    each observed context to its row r; the row's tokens are
+    ``tokens[offsets[r]:offsets[r + 1]]`` in ascending order, with their
+    ``counts``, and ``totals[r]`` is the row's sum.  Token IDs are C ints,
+    counts, totals and offsets int64; ``token_array`` and ``count_array`` are
+    read-only NumPy views of the same buffers."""
 
     __slots__ = ("rows", "offsets", "tokens", "counts", "totals", "token_array", "count_array")
 
-    def __init__(self, m: int, level_counts: dict[tuple[int, ...], dict[int, int]], n_tokens: int):
-        """Checks ``counts[m]`` of the model constructor and stores it."""
-        if set(map(len, level_counts)) - {m}:
-            raise ValueError(f"counts[{m}] holds a context whose length is not {m}")
-        tables = list(level_counts.values())
-        ids = list(chain.from_iterable(tables))
-        counts = list(chain.from_iterable(map(dict.values, tables)))
-        # Ranges are checked over distinct values, which keeps loading fast,
-        # but types per element: a set hides True and 1.0 behind an equal 1.
-        named = set(ids).union(chain.from_iterable(level_counts))
-        types = set(map(type, ids)).union(map(type, chain.from_iterable(level_counts)))
-        if types - {int} or named and not 0 <= min(named) <= max(named) < n_tokens:
-            raise ValueError(f"counts[{m}] names a token ID outside the inventory")
-        distinct = set(counts)
-        if not all(tables) or set(map(type, counts)) - {int} or min(distinct, default=1) < 1:
+    def __init__(self, m: int, fields: dict, n_tokens: int):
+        """Checks one table as a model file holds it and stores it: ``fields``
+        maps each name of ``_FIELDS`` to the little-endian bytes of one array,
+        ``contexts`` holding the m tokens of each row's context, row by row."""
+        try:
+            contexts, offsets, tokens, counts = (
+                np.frombuffer(fields[name], dtype) for name, dtype in _FIELDS
+            )
+        except ValueError:
+            raise ValueError(f"counts[{m}] holds a field not a whole number of items") from None
+        n_rows = len(offsets) - 1
+        if (
+            n_rows < 0
+            or offsets[0] != 0
+            or not offsets[-1] == len(tokens) == len(counts)
+            or len(contexts) != n_rows * m
+        ):
+            raise ValueError(f"counts[{m}] holds arrays whose lengths do not match")
+        # Comparisons, not differences, which could wrap around in int64.
+        if (offsets[1:] <= offsets[:-1]).any() or counts.size and counts.min() < 1:
             raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
+        named = np.concatenate((contexts, tokens))
+        if named.size and not 0 <= named.min() <= named.max() < n_tokens:
+            raise ValueError(f"counts[{m}] names a token ID outside the inventory")
+        rising = tokens[1:] > tokens[:-1]
+        rising[offsets[1:-1] - 1] = True  # each row starts afresh
+        if not rising.all():
+            raise ValueError(f"counts[{m}] holds a row whose tokens do not rise strictly")
         # No row sums to more than the largest count times the number of counts.
-        if max(distinct, default=0) * len(counts) > _INT64_MAX:
-            if max(map(sum, map(dict.values, tables))) > _INT64_MAX:
+        if counts.size and int(counts.max()) * len(counts) > _INT64_MAX:
+            bounds, values = offsets.tolist(), counts.tolist()
+            if max(sum(values[a:b]) for a, b in zip(bounds, bounds[1:])) > _INT64_MAX:
                 raise ValueError(f"counts[{m}] holds a row whose counts sum above 2**63 - 1")
-        self.rows = dict(zip(level_counts, range(len(tables))))
-        self.offsets = array("q", accumulate(map(len, tables), initial=0))
-        self.tokens = array("i", ids)
-        self.counts = array("q", counts)
+        keys = zip(*contexts.reshape(n_rows, m).T.tolist()) if m else [()] * n_rows
+        self.rows = dict(zip(keys, range(n_rows)))
+        if len(self.rows) != n_rows:
+            raise ValueError(f"counts[{m}] holds a context twice")
+        self.offsets = array("q", offsets.astype(np.int64).tobytes())
+        self.tokens = array("i", tokens.astype(np.intc).tobytes())
+        self.counts = array("q", counts.astype(np.int64).tobytes())
         self.token_array = np.frombuffer(self.tokens, dtype=np.intc)
         self.count_array = np.frombuffer(self.counts, dtype=np.int64)
         self.token_array.flags.writeable = self.count_array.flags.writeable = False
         starts = np.frombuffer(self.offsets, dtype=np.int64)[:-1]
         self.totals = array("q", np.add.reduceat(self.count_array, starts).tobytes())
 
-    def as_dicts(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """``counts[m]`` as the model constructor was given it."""
-        offsets, tokens, counts = self.offsets, self.tokens.tolist(), self.counts.tolist()
-        return {
-            ctx: dict(zip(tokens[offsets[r]:offsets[r + 1]], counts[offsets[r]:offsets[r + 1]]))
-            for ctx, r in self.rows.items()
-        }
+    @classmethod
+    def from_dicts(
+        cls, m: int, level_counts: dict[tuple[int, ...], dict[int, int]], n_tokens: int
+    ) -> "_CountTable":
+        """Checks the types in ``counts[m]`` of the model constructor, then
+        flattens each row in ascending token order for the checks above."""
+        if set(map(len, level_counts)) - {m}:
+            raise ValueError(f"counts[{m}] holds a context whose length is not {m}")
+        tables = list(level_counts.values())
+        contexts = list(chain.from_iterable(level_counts))
+        # Types are checked per element: a set hides True and 1.0 behind an equal 1.
+        if set(map(type, chain(contexts, chain.from_iterable(tables)))) - {int}:
+            raise ValueError(f"counts[{m}] names a token ID outside the inventory")
+        if set(map(type, chain.from_iterable(map(dict.values, tables)))) - {int}:
+            raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
+        pairs = list(chain.from_iterable(sorted(table.items()) for table in tables))
+        ids, counts = [token for token, _ in pairs], [count for _, count in pairs]
+        offsets = list(accumulate(map(len, tables), initial=0))
+        values = {"contexts": contexts, "offsets": offsets, "tokens": ids, "counts": counts}
+        try:
+            fields = {name: np.array(values[name], dtype).tobytes() for name, dtype in _FIELDS}
+        except OverflowError:  # a value its field's integer type cannot hold
+            if max(counts, default=0) > _INT64_MAX:
+                raise ValueError(f"counts[{m}] holds a row whose counts sum above 2**63 - 1")
+            if min(counts, default=0) < 0:
+                raise ValueError(f"counts[{m}] holds no count or one that is not an int > 0")
+            raise ValueError(f"counts[{m}] names a token ID outside the inventory")
+        return cls(m, fields, n_tokens)
+
+    def fields(self) -> dict[str, bytes]:
+        """The table as a model file holds it, for ``__init__`` to read back."""
+        arrays = (list(self.rows), self.offsets, self.tokens, self.counts)
+        return {name: np.asarray(a, dtype).tobytes() for (name, dtype), a in zip(_FIELDS, arrays)}
 
 
 def _count_ngrams(
@@ -301,21 +350,21 @@ def cumulative_sums(dist: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: NGramModel, path: str | Path) -> None:
-    """Versioned binary dump of the count tables."""
+    """Versioned binary dump of the flat count tables."""
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
         "order": model.order,
         "level": model.level,
         "tokens": list(model.tokens),
-        "counts": [table.as_dicts() for table in model._tables],
+        "tables": [table.fields() for table in model._tables],
     }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 
 
 class _PlainUnpickler(pickle.Unpickler):
-    """Loads plain dicts, lists, tuples, strings and numbers only: a file
+    """Loads plain dicts, lists, tuples, strings, bytes and numbers only: a file
     that names any global (a class or a callable) is refused before
     anything in it runs."""
 
@@ -332,13 +381,14 @@ def load_model(path: str | Path) -> NGramModel:
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a language-model file")
     if payload.get("version") != _VERSION:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
-    try:
-        return NGramModel(
-            payload["order"],
-            payload["level"],
-            payload["tokens"],
-            counts=payload["counts"],
+        version = payload.get("version")
+        raise ValueError(
+            f"{path}: unsupported model version {version!r}; retrain it with beamfuse train-lm"
         )
+    try:
+        model = NGramModel(payload["order"], payload["level"], payload["tokens"])
+        n_tokens = len(model.tokens)
+        model._set_tables([_CountTable(m, t, n_tokens) for m, t in enumerate(payload["tables"])])
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed language-model file") from exc
+    return model

@@ -17,6 +17,7 @@ BLANK = "<blank>"
 
 # Labels that close a word during decoding.
 WORD_END_LABELS = frozenset({SPACE, EOS})
+_RESERVED = frozenset({UNK, EOS, SPACE, BLANK})
 
 
 def tokenize_line(text: str) -> list[str]:
@@ -74,10 +75,13 @@ class Vocabulary:
         unique = sorted(set(words))
         if not unique:
             raise ValueError("empty vocabulary")
-        letters = set(letters)
-        for word in (*unique, *letters):
-            _check_word(word)
-        chars = sorted({ch for word in (*unique, *letters) for ch in word})
+        spelled = [*unique, *set(letters)]
+        # Joining on a space and splitting on whitespace gives the words back
+        # exactly when none is empty or holds a character that isspace().
+        if " ".join(spelled).split() != spelled or not _RESERVED.isdisjoint(spelled):
+            for word in spelled:  # name the first bad one
+                _check_word(word)
+        chars = sorted(set().union(*spelled))
         return cls(words=tuple(unique), label_set=tuple(chars) + (SPACE, EOS))
 
     unk_id = property(lambda self: len(self.words))
@@ -109,7 +113,7 @@ def _check_word(word: str) -> None:
     """A vocabulary word is non-empty, has no whitespace and is not reserved."""
     if not word or any(ch.isspace() for ch in word):
         raise ValueError(f"invalid vocabulary word: {word!r}")
-    if word in (UNK, EOS, SPACE, BLANK):
+    if word in _RESERVED:
         raise ValueError(f"reserved token {word!r} cannot be a vocabulary word")
 
 

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from beamfuse import BLANK, SPACE, DecodeConfig, load_model, load_vocabulary, synth_posteriors
@@ -230,7 +231,7 @@ def test_decode_reserved_header_label_is_data_error(workspace, capsys, label):
 def test_decode_malformed_model_is_data_error(workspace, capsys):
     bad = workspace / "keyless.lm"
     with open(bad, "wb") as fh:
-        pickle.dump({"format": "beamfuse-ngram", "version": 1}, fh)
+        pickle.dump({"format": "beamfuse-ngram", "version": 2}, fh)
     code = main(
         [
             "decode",
@@ -276,9 +277,22 @@ def test_model_file_cannot_run_code(workspace, capsys):
     assert not marker.exists()
 
 
-def test_decode_out_of_inventory_counts_is_data_error(workspace, capsys):
+def _char_lm_with(workspace, name, change):
+    """The workspace's character model with ``change(array)`` applied to one
+    array of its bigram table."""
     payload = pickle.loads((workspace / "char.lm").read_bytes())
-    payload["counts"][1][(0,)][999] = 1  # a token the inventory lacks
+    table = payload["tables"][1]
+    values = np.frombuffer(table[name], "<i4" if name == "tokens" else "<i8").copy()
+    change(values, payload, np.frombuffer(table["offsets"], "<i8"))
+    table[name] = values.tobytes()
+    return payload
+
+
+def test_decode_out_of_inventory_counts_is_data_error(workspace, capsys):
+    def stray(tokens, payload, _):
+        tokens[-1] = len(payload["tokens"])  # the last row's last token: still rising
+
+    payload = _char_lm_with(workspace, "tokens", stray)
     bad = workspace / "stray.lm"
     bad.write_bytes(pickle.dumps(payload))
     code = main(
@@ -297,9 +311,11 @@ def test_decode_out_of_inventory_counts_is_data_error(workspace, capsys):
 
 
 def test_decode_count_beyond_int64_is_data_error(workspace, capsys):
-    payload = pickle.loads((workspace / "char.lm").read_bytes())
-    table = payload["counts"][1][(0,)]
-    table[next(iter(table))] = 2**63  # one more than an int64 holds
+    def huge(counts, _, offsets):
+        start = next(a for a, b in zip(offsets, offsets[1:]) if b - a >= 2)
+        counts[start:start + 2] = 2**62  # each fits an int64, their sum does not
+
+    payload = _char_lm_with(workspace, "counts", huge)
     bad = workspace / "huge.lm"
     bad.write_bytes(pickle.dumps(payload))
     code = main(
@@ -314,6 +330,25 @@ def test_decode_count_beyond_int64_is_data_error(workspace, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "huge.lm: malformed language-model file" in err
+    assert "Traceback" not in err
+
+
+def test_decode_version_1_model_is_refused(workspace, capsys):
+    payload = {"format": "beamfuse-ngram", "version": 1, "order": 2, "level": "char"}
+    old = workspace / "old.lm"
+    old.write_bytes(pickle.dumps({**payload, "tokens": ["a", "<eos>"], "counts": [{}, {}]}))
+    code = main(
+        [
+            "decode",
+            "--posteriors", str(workspace / "data" / "utt_0000.tsv"),
+            "--lm-strategy", "char",
+            "--char-lm", str(old),
+            "--out", str(workspace / "n.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{old}: unsupported model version 1; retrain it with beamfuse train-lm" in err
     assert "Traceback" not in err
 
 

@@ -133,10 +133,13 @@ def test_prefix_probability_is_monotone():
             previous = score
 
 
-def test_candidate_scores_match_single_extensions():
+@pytest.mark.parametrize("frames", [5, 50])
+def test_candidate_scores_match_single_extensions(frames):
+    """Bitwise, also at 50 frames, where a sum over frames that NumPy splits
+    pairwise for one column but not for several would differ."""
     rng = np.random.default_rng(31)
     labels = ("a", "b", "c", BLANK)
-    mat = random_matrix(rng, 5, labels)
+    mat = random_matrix(rng, frames, labels)
     scorer = CtcPrefixScorer(mat)
     columns = [scorer.column(label) for label in ("a", "b", "c")]
 
@@ -150,6 +153,18 @@ def test_candidate_scores_match_single_extensions():
         for i, label in enumerate(("a", "b", "c")):
             single, _ = extend(scorer, states.take([j]), label)
             assert batch[j, i] == single
+
+
+def test_candidate_score_below_the_smallest_float_stays_finite():
+    """The only path to "a" has probability 1e-400, below any float: its log
+    still comes out as enumeration's, not as -inf."""
+    probs = np.array([[0.0, 1.0, 1e-200], [1e-200, 1.0, 0.0]])
+    mat = PosteriorMatrix(("a", "b", BLANK), probs)
+    prefix, _ = ctc_log_brute_force(mat)
+    assert prefix[("a",)] == -921.0340371976183
+    scorer = CtcPrefixScorer(mat)
+    scores = scorer.candidate_scores(scorer.initial_state(), [scorer.column("a")])
+    assert scores.item() == prefix[("a",)]
 
 
 def test_matrix_validation():

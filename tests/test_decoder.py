@@ -192,6 +192,16 @@ def test_max_len_zero_returns_empty_hypothesis(uniform_char_lm):
     assert hyp.lm_score == lm.final(lm.initial_state())
 
 
+@pytest.mark.parametrize("search", [decode, exhaustive_decode])
+def test_blank_only_posteriors_decode_to_the_empty_hypothesis(search):
+    """No label to extend by: the empty hypothesis alone, with every score 0."""
+    mat = PosteriorMatrix((BLANK,), np.ones((4, 1)))
+    result = search(mat, None, None, DecodeConfig(n_best=3))
+    assert [hyp.labels for hyp in result.hypotheses] == [()]
+    hyp = result.hypotheses[0]
+    assert (hyp.ctc_score, hyp.att_score, hyp.lm_score, hyp.joint) == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_decode_is_deterministic(trained_char_lm, trained_word_lm, tiny_vocab):
     mat = synth_posteriors(["a", "cat"], LABELS, peak=0.7, seed=9)
     lm = MultiLevelScorer(trained_char_lm, trained_word_lm, tiny_vocab)

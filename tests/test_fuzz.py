@@ -11,6 +11,7 @@ import io
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,7 @@ ODD_VALUES = st.one_of(
     st.text(max_size=3),
     st.lists(st.integers(-1, 9), max_size=3),
     st.dictionaries(st.tuples(st.integers(-1, 9)), st.integers(-1, 3), max_size=2),
+    st.binary(max_size=16),
 )
 
 
@@ -244,17 +246,36 @@ def _lookalike(value):
     return tuple(value)
 
 
+_DTYPES = {"contexts": "<i4", "offsets": "<i8", "tokens": "<i4", "counts": "<i8"}
+
+
+@st.composite
+def broken_field(draw, blob: bytes, name: str, n_tokens: int):
+    """A table field's bytes cut short, or its array with one entry out of
+    range (or a count of 0) or swapped with the one before it."""
+    values = np.frombuffer(blob, _DTYPES[name]).copy()
+    if not values.size or draw(st.booleans()):
+        return blob[: draw(st.integers(0, max(len(blob) - 1, 0)))]
+    at = draw(st.integers(0, values.size - 1))
+    if draw(st.booleans()):
+        values[at] = draw(st.sampled_from([-1, 0, n_tokens, np.iinfo(values.dtype).max]))
+    else:
+        values[[at - 1, at]] = values[[at, at - 1]]
+    return values.tobytes()
+
+
 @st.composite
 def mutated_payload(draw, payload: dict):
-    """The model dict with one field, or one count entry, replaced by an
-    odd value or by a lookalike of its own value."""
+    """The model dict with one header field or one table field replaced: by
+    an odd value, a lookalike of its own value, or broken bytes."""
     payload = pickle.loads(pickle.dumps(payload))
-    key = draw(st.sampled_from(["order", "level", "tokens", "counts", "version", "counts entry"]))
-    if key == "counts entry":
-        level = draw(st.integers(0, len(payload["counts"]) - 1))
-        tables = payload["counts"][level]
-        ctx = draw(st.sampled_from(sorted(tables)))
-        tables[ctx] = draw(st.one_of(ODD_VALUES, st.dictionaries(st.integers(-1, 40), ODD_VALUES)))
+    header = st.sampled_from(["order", "level", "tokens", "tables", "version"])
+    key = draw(header | st.just("table field"))
+    if key == "table field":
+        table = draw(st.sampled_from(payload["tables"]))
+        name = draw(st.sampled_from(sorted(table)))
+        broken = broken_field(table[name], name, len(payload["tokens"]))
+        table[name] = draw(broken if draw(st.booleans()) else ODD_VALUES)
     else:
         payload[key] = draw(st.one_of(st.just(_lookalike(payload[key])), ODD_VALUES))
     return pickle.dumps(payload)

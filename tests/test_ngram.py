@@ -16,6 +16,7 @@ import gc
 import itertools
 import math
 import pickle
+import struct
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from beamfuse import (
     load_model,
     save_model,
     synth_vocabulary,
+    to_char_labels,
     train_ngram,
 )
 from beamfuse.ngram import ROW_CACHE_BYTES
@@ -190,19 +192,28 @@ def _backoff_contexts(counts):
     return {ctx for level in counts[1:-1] for ctx in level}
 
 
+def _char_5gram_sentences():
+    words = synth_vocabulary(60, seed=4, alphabet="abcdef")
+    return MarkovText(words, seed=5).sentences(120, 2, 6, seed=6)
+
+
 @pytest.fixture(scope="module")
 def char_5gram():
-    words = synth_vocabulary(60, seed=4, alphabet="abcdef")
-    sentences = MarkovText(words, seed=5).sentences(120, 2, 6, seed=6)
-    return train_ngram(sentences, 5, "char")
+    return train_ngram(_char_5gram_sentences(), 5, "char")
 
 
 @pytest.fixture(scope="module")
-def char_5gram_counts(char_5gram, tmp_path_factory):
-    """The 5-gram's count dicts as ``save_model`` wrote them."""
-    path = tmp_path_factory.mktemp("char_5gram") / "model.lm"
-    save_model(char_5gram, path)
-    return pickle.loads(path.read_bytes())["counts"]
+def char_5gram_counts(char_5gram):
+    """The 5-gram's count dicts, counted here from its training sentences."""
+    ids = {label: i for i, label in enumerate(char_5gram.tokens)}
+    counts = [{} for _ in range(5)]
+    for sentence in _char_5gram_sentences():
+        seq = [ids[label] for label in to_char_labels(sentence)] + [ids[EOS]]
+        for i, token in enumerate(seq):
+            for m in range(min(4, i) + 1):
+                row = counts[m].setdefault(tuple(seq[i - m:i]), {})
+                row[token] = row.get(token, 0) + 1
+    return counts
 
 
 def test_log_rows_match_the_reference_loop_on_a_char_5gram(char_5gram, char_5gram_counts):
@@ -399,19 +410,44 @@ def test_save_load_round_trip(tmp_path, tiny_vocab):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _pack(code, values):
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _v2_table(contexts, offsets, tokens, counts):
+    """One count table as a version-2 model file holds it; a field given as
+    bytes is taken as it is."""
+    arrays = {"contexts": ("i", contexts), "offsets": ("q", offsets)}
+    arrays.update(tokens=("i", tokens), counts=("q", counts))
+    return {
+        name: values if isinstance(values, bytes) else _pack(code, values)
+        for name, (code, values) in arrays.items()
+    }
+
+
 def test_save_model_writes_the_count_dicts_it_was_given(tmp_path):
-    """Contexts and each context's tokens keep the order they were given in."""
+    """Version 2, flat: contexts keep the order they were given in, and each
+    context's tokens ascend."""
     path = tmp_path / "model.lm"
     save_model(_hand_built_5gram(), path)
     payload = {
         "format": "beamfuse-ngram",
-        "version": 1,
+        "version": 2,
         "order": 5,
         "level": "char",
         "tokens": ["a", "b", "c", "d", "e"],
-        "counts": _hand_built_counts(),
+        "tables": [
+            _v2_table([], [0, 5], [0, 1, 2, 3, 4], [3, 2, 1, 1, 1]),
+            _v2_table([1, 0], [0, 2, 3], [0, 2, 1], [1, 2, 1]),
+            _v2_table([3, 4], [0, 1], [0], [4]),
+            _v2_table([2, 0, 1], [0, 2], [3, 4], [1, 2]),
+            _v2_table([3, 2, 0, 1], [0, 1], [1], [5]),
+        ],
     }
     assert path.read_bytes() == pickle.dumps(payload)
+    again = tmp_path / "again.lm"
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _vocab20k_shaped_bigram():
@@ -492,7 +528,7 @@ def test_count_types_are_checked_per_element(tmp_path, counts, problem):
     path = tmp_path / "model.lm"
     payload = {"format": "beamfuse-ngram", "version": 1, "order": 2, "level": "word"}
     path.write_bytes(pickle.dumps({**payload, "tokens": ["a", "b"], "counts": counts}))
-    with pytest.raises(ValueError, match="malformed language-model file"):
+    with pytest.raises(ValueError, match="unsupported model version 1"):
         load_model(path)
 
 
@@ -506,18 +542,86 @@ def test_duplicate_tokens_are_rejected():
         NGramModel(2, "word", ["a", "b", "a"])
 
 
+def _v2_payload(**bigram_fields):
+    """A word bigram over (a, b, c) as a version-2 file holds it, with any
+    field of its bigram table replaced by *bigram_fields*."""
+    bigram = {"contexts": [0, 1], "offsets": [0, 2, 3], "tokens": [1, 2, 0], "counts": [1, 1, 1]}
+    bigram.update(bigram_fields)
+    return {
+        "format": "beamfuse-ngram",
+        "version": 2,
+        "order": 2,
+        "level": "word",
+        "tokens": ["a", "b", "c"],
+        "tables": [_v2_table([], [0, 3], [0, 1, 2], [2, 1, 1]), _v2_table(**bigram)],
+    }
+
+
 def test_load_rejects_out_of_inventory_counts(tmp_path):
     """A model file naming a token the inventory lacks fails at load, not
     with an IndexError from the first cumulative distribution."""
     path = tmp_path / "model.lm"
-    payload = {
-        "format": "beamfuse-ngram",
-        "version": 1,
-        "order": 2,
-        "level": "word",
-        "tokens": ["a", "b"],
-        "counts": [{(): {0: 1, 1: 1}}, {(0,): {7: 1}}],
-    }
-    path.write_bytes(pickle.dumps(payload))
+    path.write_bytes(pickle.dumps(_v2_payload(tokens=[1, 7, 0])))
     with pytest.raises(ValueError, match="malformed language-model file"):
         load_model(path)
+
+
+def test_v2_payload_loads(tmp_path):
+    path = tmp_path / "model.lm"
+    path.write_bytes(pickle.dumps(_v2_payload()))
+    model = load_model(path)
+    assert model.prob(1, (0,)) == (1 + 2 * model.prob(1, ())) / (2 + 2)
+    counts = [{(): {0: 2, 1: 1, 2: 1}}, {(0,): {1: 1, 2: 1}, (1,): {0: 1}}]
+    assert model.full_distribution((0,)).tolist() == NGramModel(
+        2, "word", ["a", "b", "c"], counts=counts
+    ).full_distribution((0,)).tolist()
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"tokens": _pack("i", [1, 2, 0]) + b"\0"}, "not a whole number of items"),
+        ({"contexts": [0]}, "lengths do not match"),  # two rows need two contexts
+        ({"offsets": [1, 2, 3]}, "lengths do not match"),  # the first row starts at 0
+        ({"offsets": [0, 2, 4]}, "lengths do not match"),  # the last ends at len(tokens)
+        ({"counts": [1, 1]}, "lengths do not match"),  # one count per token
+        ({"offsets": [0, 0, 3]}, "holds no count"),  # an empty row
+        ({"tokens": [1, 3, 0]}, "outside the inventory"),
+        ({"tokens": [-1, 2, 0]}, "outside the inventory"),
+        ({"contexts": [0, 3]}, "outside the inventory"),
+        ({"counts": [1, 0, 1]}, "not an int > 0"),
+        ({"tokens": [2, 1, 0]}, "do not rise strictly"),
+        ({"tokens": [1, 1, 0]}, "do not rise strictly"),  # a token twice in a row
+        ({"contexts": [0, 0]}, "a context twice"),
+        ({"counts": [2**62, 2**62, 1]}, "sum above"),
+    ],
+    ids=[
+        "ragged-bytes", "contexts", "first-offset", "last-offset", "counts-length",
+        "empty-row", "token", "negative-token", "context-token", "zero-count",
+        "descending", "repeated-token", "repeated-context", "row-sum",
+    ],
+)
+def test_malformed_v2_tables_are_rejected(tmp_path, change, problem):
+    """Each rule of the table check, reached through ``load_model``."""
+    path = tmp_path / "model.lm"
+    path.write_bytes(pickle.dumps(_v2_payload(**change)))
+    with pytest.raises(ValueError, match="malformed language-model file") as caught:
+        load_model(path)
+    assert problem in str(caught.value.__cause__)
+
+
+def test_a_repeated_empty_context_is_rejected(tmp_path):
+    """At context length 0 every row's context is (), so two rows repeat it."""
+    payload = _v2_payload()
+    payload["tables"][0] = _v2_table([], [0, 1, 3], [0, 1, 2], [2, 1, 1])
+    path = tmp_path / "model.lm"
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(ValueError, match="malformed language-model file") as caught:
+        load_model(path)
+    assert "a context twice" in str(caught.value.__cause__)
+
+
+def test_counts_summing_to_the_int64_maximum_load_from_a_file(tmp_path):
+    path = tmp_path / "model.lm"
+    path.write_bytes(pickle.dumps(_v2_payload(counts=[2**62, 2**62 - 1, 1])))
+    assert load_model(path)._tables[1].totals.tolist() == [2**63 - 1, 1]

@@ -1,5 +1,7 @@
 """Vocabulary construction, label sequences and file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_from_words_rejects_bad_spellings():
         Vocabulary.from_words(["a b"])
 
 
+@pytest.mark.parametrize("word", ["a\u00a0b", "a\u3000b", "a\x1fb"])
+def test_from_words_rejects_every_kind_of_whitespace(word):
+    """No-break space, ideographic space and a unit separator all split words."""
+    with pytest.raises(ValueError, match=f"^invalid vocabulary word: {re.escape(repr(word))}$"):
+        Vocabulary.from_words(["a", word, "b"])
+
+
+def test_from_words_accepts_a_zero_width_space():
+    """U+200B is not whitespace to str.isspace(), so it spells a letter."""
+    vocab = Vocabulary.from_words(["a\u200bb", "a"])
+    assert vocab.words == ("a", "a\u200bb")
+    assert vocab.label_set == ("a", "b", "\u200b", SPACE, EOS)
+
+
 @pytest.mark.parametrize("token", [UNK, EOS, SPACE, BLANK])
 def test_from_words_rejects_reserved_tokens(token):
     with pytest.raises(ValueError, match="reserved token"):
@@ -99,6 +115,17 @@ def test_load_vocabulary_numbers_the_bad_line(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("a\n\n  \nb c\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"vocab\.txt:4: invalid vocabulary word: 'b c'"):
+        load_vocabulary(path)
+
+
+def test_load_vocabulary_numbers_the_first_bad_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\u3000c\n<eos>\nd\x1fe\n", encoding="utf-8")
+    bad = re.escape(repr("b\u3000c"))
+    with pytest.raises(ValueError, match=rf"vocab\.txt:2: invalid vocabulary word: {bad}$"):
+        load_vocabulary(path)
+    path.write_text("a\n<eos>\nb\u3000c\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vocab\.txt:2: reserved token '<eos>'"):
         load_vocabulary(path)
 
 
