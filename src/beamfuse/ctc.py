@@ -13,7 +13,7 @@ Extending a prefix g by label c sums, over the frame where c is first
 emitted, the probability that g was complete just before; frames after that
 are unconstrained because each row is normalized.  A repeated label needs an
 intervening blank, so when c equals the last label of g the nonblank mass of
-g is excluded from the transition.  All sums run in log domain.
+g is excluded from the transition.  The forward vectors stay in log domain.
 """
 
 from __future__ import annotations
@@ -184,17 +184,27 @@ class CtcPrefixScorer:
         """Log prefix scores for every hypothesis of *beam* extended by every
         column; (H, C).
 
-        A prefix of length L cannot be complete before frame L - 1, so rows
-        before L feed nothing but ``-inf`` and the sum starts at row L
-        (``logaddexp(-inf, x) == x`` exactly).
+        A prefix of length L cannot be complete before frame L - 1, so the sum
+        starts at row L.  It adds probabilities scaled by each hypothesis's
+        largest total mass frame by frame, in one order for any shape; a sum
+        below 1e-290 may have lost terms to underflow, so it is redone in logs.
         """
         start = min(beam.length, self._frames - 1)
-        prev_blank, prev_total = beam.transition[:, start:]
-        x = self._logp[start:, columns]
-        scores = np.logaddexp.reduce(prev_total[:, :, None] + x[:, None, :], axis=0)
+        prev = beam.transition[:, start:]
+        top = prev[1].max(axis=0, initial=-1e300)  # all -inf: mass 0, not NaN
+        mass = np.exp(prev - top)[:, :, :, None]
+        terms = np.multiply(mass, self.matrix.probs[start:, None, columns], order="C")
+        # NumPy would sum a single term per frame pairwise; cumsum cannot.
+        sums = np.cumsum(terms, axis=1)[:, -1] if terms[0, 0].size == 1 else terms.sum(axis=1)
         # A repeated label can only follow its first emission after a blank.
-        rows, cols = np.nonzero(beam.last_column[:, None] == np.asarray(columns))
-        scores[rows, cols] = np.logaddexp.reduce(prev_blank[:, rows] + x[:, cols], axis=0)
+        repeat = beam.last_column[:, None] == np.asarray(columns)
+        sums = np.where(repeat, sums[0], sums[1])
+        with np.errstate(divide="ignore"):
+            scores = np.log(sums) + top[:, None]
+        rows, cols = np.nonzero(sums < 1e-290)
+        if rows.size:
+            logs = prev[1 - repeat[rows, cols], :, rows].T + self._logp[start:, columns][:, cols]
+            scores[rows, cols] = np.logaddexp.reduce(logs, axis=0)
         return scores
 
     def extended_states(

@@ -72,7 +72,7 @@ class Vocabulary:
     @classmethod
     def from_words(cls, words: Iterable[str], letters: Iterable[str] = ()) -> "Vocabulary":
         """*letters* widens the label set beyond the words' own characters."""
-        unique = sorted(set(words))
+        unique = sorted(dict.fromkeys(words))  # linear when already sorted
         if not unique:
             raise ValueError("empty vocabulary")
         spelled = [*unique, *set(letters)]

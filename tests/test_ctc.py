@@ -14,15 +14,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from beamfuse import (
     BLANK,
     EOS,
+    CtcBeam,
     CtcPrefixScorer,
     PosteriorMatrix,
     ctc_final,
 )
+from extreme_matrices import hard_matrices
 from oracles import ctc_brute_force, ctc_brute_force_full, ctc_log_brute_force, greedy_decode
 
 
@@ -153,6 +154,38 @@ def test_candidate_scores_match_single_extensions(frames):
         for i, label in enumerate(("a", "b", "c")):
             single, _ = extend(scorer, states.take([j]), label)
             assert batch[j, i] == single
+
+
+def _layouts(beam):
+    """*beam* with its forward vectors as given, F-ordered and as a strided
+    view; each rebuilds its transition from that layout."""
+    strided = np.repeat(beam.forward, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    for forward in (beam.forward, np.asfortranarray(beam.forward), strided):
+        yield CtcBeam(forward, beam.last_column, beam.log_prefix, beam.length)
+
+
+@pytest.mark.parametrize("frames", [9, 50])
+def test_candidate_score_does_not_depend_on_call_shape_or_layout(frames):
+    """Each (hypothesis, label) entry is bitwise the same from a 1x1 call, a
+    batched call and a beam whose forward vectors are F-ordered or strided:
+    the frames are summed in one order, whatever the shape of the block."""
+    rng = np.random.default_rng(53)
+    mat = random_matrix(rng, frames, ("a", "b", "c", BLANK))
+    scorer = CtcPrefixScorer(mat)
+    columns = [scorer.column(label) for label in ("a", "b", "c")]
+    parents = extend_each(scorer, scorer.initial_state().take([0, 0]), columns[:2])
+    states = extend_each(scorer, parents.take([0, 1, 0]), [columns[1], columns[0], columns[0]])
+
+    want = scorer.candidate_scores(states, columns)
+    assert (want > math.log(1e-290)).all()  # no entry takes the log-domain fallback
+    for j in range(len(states)):
+        for i, column in enumerate(columns):
+            for beam in _layouts(states):
+                assert scorer.candidate_scores(beam, columns)[j, i] == want[j, i]
+            for beam in _layouts(states.take([j])):
+                assert scorer.candidate_scores(beam, [column]).item() == want[j, i]
+                assert scorer.candidate_scores(beam, columns)[0, i] == want[j, i]
 
 
 def test_candidate_score_below_the_smallest_float_stays_finite():
@@ -317,29 +350,8 @@ def test_batched_extension_is_bitwise_equal_to_single():
         assert np.array_equal(single.blank[:, 0], batch.blank[:, k])
 
 
-@st.composite
-def hard_matrices(draw):
-    """Up to 5 frames over up to 3 labels and <blank>: a softmax of logits
-    scaled x1 to x700, with exact zeros, one-hot rows and equal columns."""
-    frames = draw(st.integers(1, 5))
-    labels = ("a", "b", "c")[: draw(st.integers(1, 3))] + (BLANK,)
-    width = len(labels)
-    unit = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
-    row = st.lists(unit, min_size=width, max_size=width)
-    logits = np.array(draw(st.lists(row, min_size=frames, max_size=frames)))
-    if draw(st.booleans()):  # equal columns: exact ties
-        logits[:, draw(st.integers(0, width - 1))] = logits[:, draw(st.integers(0, width - 1))]
-    logits *= draw(st.sampled_from([1.0, 700.0]) | st.floats(1.0, 700.0))
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    zeros = np.array(draw(st.lists(st.booleans(), min_size=probs.size, max_size=probs.size)))
-    probs[zeros.reshape(probs.shape) & (probs < 1.0)] = 0.0  # each row keeps its largest
-    for t in draw(st.sets(st.integers(0, frames - 1))):
-        probs[t] = np.eye(width)[draw(st.integers(0, width - 1))]
-    return PosteriorMatrix(labels, probs / probs.sum(axis=1, keepdims=True))
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(matrix=hard_matrices())
+@given(matrix=hard_matrices(("a", "b", "c")))
 def test_scores_match_log_domain_enumeration(matrix):
     """Over every label sequence up to one label longer than the matrix,
     each candidate and exact-match score is within 1e-12 of log-domain path

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from beamfuse import (
     BLANK,
@@ -28,6 +29,7 @@ from beamfuse import (
     train_ngram,
 )
 from beamfuse import decoder as decoder_module
+from extreme_matrices import hard_matrices
 
 LABELS = ("a", "c", "e", "s", "t", SPACE, BLANK)
 
@@ -104,6 +106,23 @@ def test_saturated_beam_matches_exhaustive(
                 assert hb.ctc_score == hf.ctc_score
                 assert hb.lm_score == hf.lm_score
                 assert hb.att_score == hf.att_score
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(matrix=hard_matrices(("a", "c", SPACE)))
+def test_saturated_beam_matches_exhaustive_on_extreme_posteriors(
+    matrix, tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm
+):
+    """On posteriors with exact zeros, one-hot rows, tied columns and logits
+    up to x700, for every scorer pair: a saturated beam equals exhaustive
+    search bit for bit, no score is NaN, and a second decode is identical."""
+    config = DecodeConfig(ctc_weight=0.3, lm_weight=0.7, beam_width=4096, n_best=5)
+    for lm, att in scorer_grid(tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm):
+        beam = decode(matrix, lm, att, config)
+        assert _bits(beam) == _bits(exhaustive_decode(matrix, lm, att, config))
+        scores = [(h.ctc_score, h.att_score, h.lm_score, h.joint) for h in beam.hypotheses]
+        assert not np.isnan(scores).any()
+        assert _bits(decode(matrix, lm, att, config)) == _bits(beam)
 
 
 def test_early_stop_does_not_change_results(trained_word_lm, tiny_vocab):
