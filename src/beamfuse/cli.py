@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .decoder import DecodeConfig, decode
-from .fusion import CharLMScorer, LookAheadScorer, MultiLevelScorer
+from .fusion import CharLMScorer, LookAheadScorer, MultiLevelScorer, check_oov_scale
 from .io_formats import (
     ctc_labels,
     load_posteriors,
@@ -87,6 +87,8 @@ def cmd_decode(args) -> int:
             return _usage_error(f"{flag} is required for strategy {args.lm_strategy!r}")
     try:
         config = _decode_config(args, max_len=args.max_len, n_best=args.n_best)
+        for name in ("oov_beta", "oov_eta"):
+            check_oov_scale(getattr(args, name), "--" + name.replace("_", "-"))
     except ValueError as exc:
         return _usage_error(str(exc))
     vocab = load_vocabulary(args.vocab) if args.vocab else None
@@ -205,7 +207,7 @@ def cmd_synth(args) -> int:
 
 def _add_decode_flags(parser, beam_width=30):
     parser.add_argument("--ctc-weight", type=float, default=0.2, help="weight on the CTC score")
-    parser.add_argument("--lm-weight", type=float, default=1.0, help="weight on the LM score")
+    parser.add_argument("--lm-weight", type=float, default=1.0, help="LM score weight, finite >= 0")
     parser.add_argument("--beam-width", type=int, default=beam_width)
 
 
@@ -236,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--word-lm", help="word LM (multilevel and lookahead strategies)")
     dec.add_argument("--vocab", help="vocabulary file (word-based strategies)")
     dec.add_argument("--att-lm", help="character model for the attention slot")
-    dec.add_argument("--oov-beta", type=float, default=1.0, help="multilevel OOV scale")
-    dec.add_argument("--oov-eta", type=float, default=1.0, help="lookahead OOV scale")
+    dec.add_argument("--oov-beta", type=float, default=1.0, help="multilevel OOV scale, finite > 0")
+    dec.add_argument("--oov-eta", type=float, default=1.0, help="lookahead OOV scale, finite > 0")
     dec.add_argument("--max-len", type=int, default=None)
     dec.add_argument("--n-best", type=int, default=1)
     _add_decode_flags(dec)

@@ -16,6 +16,7 @@ label sequence, which makes the search deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class DecodeConfig:
     def __post_init__(self):
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError("ctc_weight must lie in [0, 1]")
-        if self.lm_weight < 0.0:
-            raise ValueError("lm_weight must be >= 0")
+        if not 0.0 <= self.lm_weight < math.inf:
+            raise ValueError("lm_weight must be finite and >= 0")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_len is not None and self.max_len < 0:

@@ -28,6 +28,12 @@ class EmptyWordError(ValueError):
     """A word-end label arrived with no pending characters."""
 
 
+def check_oov_scale(scale: float, name: str = "oov_scale") -> None:
+    """An OOV scale multiplies a probability, so it must be finite and > 0."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"{name} must be finite and > 0")
+
+
 def lookahead_prob(tree: PrefixTree, node: int, sums: np.ndarray) -> float:
     """Probability mass of every word anticipated at *node*.
 
@@ -36,7 +42,7 @@ def lookahead_prob(tree: PrefixTree, node: int, sums: np.ndarray) -> float:
     ``sums[hi + 1] - sums[lo]``.
     """
     lo, hi = tree.interval(node)
-    return float(sums[hi + 1] - sums[lo])
+    return sums.item(hi + 1) - sums.item(lo)
 
 
 def _token_ids(ids: dict[str, int], labels: Sequence[str]) -> list[int]:
@@ -119,28 +125,29 @@ class _WordScorer(_FusionScorer):
             raise ValueError("fusion requires a word-level model")
         if word_model.tokens != vocab.lm_tokens:
             raise ValueError("word model inventory does not match the vocabulary")
-        if oov_scale <= 0.0:
-            raise ValueError("oov_scale must be positive")
+        check_oov_scale(oov_scale)
         self.word_model = word_model
         self.vocab = vocab
         self.tree = vocab.tree
         self.oov_scale = oov_scale
+        self._unk_id, self._eos_id = vocab.unk_id, vocab.eos_id
         self._clip = word_model.clip
         self._log_oov_scale = math.log(oov_scale)
 
-    def _eos(self, state, close: float) -> float:
-        """The ``<eos>`` entry after *close*, the ``<space>`` one (NaN with no pending word)."""
+    def _eos(self, state, close: float, word_id: int) -> float:
+        """The ``<eos>`` entry after *close*, the ``<space>`` one (NaN with no
+        pending word) that commits *word_id*."""
         history = state.word_history
         if math.isnan(close):
             close = 0.0
         else:
-            history = self._clip(history + (self._word_id(state),))
-        return close + math.log(self.word_model.prob(self.vocab.eos_id, history))
+            history = self._clip(history + (word_id,))
+        return close + self.word_model.log_prob(self._eos_id, history)
 
     def _word_id(self, state) -> int:
         """The word a word-end label commits: the spelled word or ``<UNK>``."""
         word_id = None if state.node is None else self.tree.word_end(state.node)
-        return self.vocab.unk_id if word_id is None else word_id
+        return self._unk_id if word_id is None else word_id
 
 
 # ======================================================================
@@ -189,8 +196,9 @@ class MultiLevelScorer(_WordScorer):
         tokens = _token_ids(self._ids, labels)
         out = np.array([self.char_model.log_rows(s.char_context) for s in states])
         for row, state in zip(out, states):
-            close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state)
-            row[self._space], row[self._eos_token] = close, self._eos(state, close)
+            word_id = self._word_id(state)
+            close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state, word_id)
+            row[self._space], row[self._eos_token] = close, self._eos(state, close, word_id)
         return out[:, tokens]
 
     def advance(self, state: MultiLevelState, label: str) -> MultiLevelState:
@@ -211,10 +219,9 @@ class MultiLevelScorer(_WordScorer):
             return math.inf
         return 0.0 if state.node is None else -state.pending_logp
 
-    def _close_word(self, state: MultiLevelState) -> float:
-        word_id = self._word_id(state)
-        logp = math.log(self.word_model.prob(word_id, state.word_history))
-        if word_id == self.vocab.unk_id:
+    def _close_word(self, state: MultiLevelState, word_id: int) -> float:
+        logp = self.word_model.log_prob(word_id, state.word_history)
+        if word_id == self._unk_id:
             return logp + self._log_oov_scale
         return logp - state.pending_logp
 
@@ -262,30 +269,37 @@ class LookAheadScorer(_WordScorer):
         columns = _token_ids(self._columns, labels)  # tree column; -2 <space>, -1 <eos>
         rows = np.array([self._scores(s) for s in states])
         for j in np.flatnonzero(np.isnan(rows[:, -1])).tolist():  # <eos> left to the state
-            rows[j, -1] = self._eos(states[j], rows[j, -2].item())
+            state = states[j]
+            rows[j, -1] = self._eos(state, rows[j, -2].item(), self._word_id(state))
         return rows[:, columns]
 
-    def _scores(self, state: LookAheadState) -> np.ndarray:
+    def _scores(self, state: LookAheadState) -> np.ndarray | list[float]:
         """Each tree column's score for *state*, then ``<space>``'s and ``<eos>``'s:
         a letter costs the child's anticipated-word mass over the node's, or the
         OOV charge when no word continues the spelling (off the tree, already
-        paid).  Kept per node for states on the unigram's sums, shared by every
-        unseen history, with ``<eos>`` only when a closed word is all the
-        history kept; else, and off the tree, it is NaN here and left to the state."""
-        if state.node is None:
+        paid).  Kept per node, as an array, for states on the unigram's sums,
+        shared by every unseen history, with ``<eos>`` only when a closed word
+        is all the history kept; else, and off the tree, it is NaN here and left
+        to the state.  A child's mass is the difference of two neighbouring
+        entries of one gather of the node's edge slice."""
+        node = state.node
+        if node is None:
             return self._off_tree
         shared = state.sums is self._unigram_sums
-        row = self._unigram_rows.get(state.node) if shared else None
+        row = self._unigram_rows.get(node) if shared else None
         if row is None:
-            kids = self.tree.child[state.node]
-            mass = (state.sums[self.tree.hi[kids] + 1] - state.sums[self.tree.lo[kids]]).tolist()
-            base, unk = state.node_log_mass, state.unk_logp
-            row = [unk if kid < 0 else math.log(m) - base for kid, m in zip(kids.tolist(), mass)]
-            close = math.nan if state.node == PrefixTree.ROOT else self._close_word(state)
-            eos = self._eos(state, close) if self.word_model.order <= 2 or not shared else math.nan
-            row = np.array(row + [close, eos])
+            tree, base = self.tree, state.node_log_mass
+            start, stop = tree.edge_offsets[node], tree.edge_offsets[node + 1]
+            bounds = state.sums[tree.edges[start:stop]].tolist()
+            row = [state.unk_logp] * len(tree.labels)
+            for column, lo, end in zip(tree.edge_columns[start:stop], bounds, bounds[1:]):
+                row[column] = math.log(end - lo) - base
+            word_id = self._word_id(state)
+            close = math.nan if node == PrefixTree.ROOT else self._close_word(state, word_id)
+            full = self.word_model.order <= 2 or not shared
+            row += [close, self._eos(state, close, word_id) if full else math.nan]
             if shared:
-                self._unigram_rows[state.node] = row
+                row = self._unigram_rows[node] = np.array(row)
         return row
 
     def advance(self, state: LookAheadState, label: str) -> LookAheadState:
@@ -302,17 +316,15 @@ class LookAheadScorer(_WordScorer):
         # oov_scale <= 1 no completion adds positive log mass.
         return 0.0 if self.oov_scale <= 1.0 else math.inf
 
-    def _close_word(self, state: LookAheadState) -> float:
-        word_id = self._word_id(state)
-        if state.node is None:
-            return 0.0  # the OOV charge was paid on leaving the tree
-        if word_id == self.vocab.unk_id:
+    def _close_word(self, state: LookAheadState, word_id: int) -> float:
+        """Closing an on-tree spelling; off the tree, ``_off_tree`` holds 0.0,
+        since the OOV charge was paid on leaving the tree."""
+        if word_id == self._unk_id:
             return state.unk_logp  # the spelling stops short of every word
-        logp = math.log(self.word_model.prob(word_id, state.word_history))
-        return logp - state.node_log_mass
+        return self.word_model.log_prob(word_id, state.word_history) - state.node_log_mass
 
     def _root_state(self, history: tuple[int, ...]) -> LookAheadState:
         sums = self.word_model.cumulative_distribution(history)
         mass = math.log(lookahead_prob(self.tree, PrefixTree.ROOT, sums))
-        unk = math.log(self.word_model.prob(self.vocab.unk_id, history)) + self._log_oov_scale
+        unk = self.word_model.log_prob(self._unk_id, history) + self._log_oov_scale
         return LookAheadState(PrefixTree.ROOT, mass, history, sums, unk)

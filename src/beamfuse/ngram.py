@@ -1,8 +1,9 @@
 """Witten-Bell interpolated n-gram language models over words or characters.
 
 Models answer the queries fused decoding needs: the probability of one
-token after a context, the full next-token distribution for a context, and
-two cached read-only forms of it: cumulative sums for the prefix-tree
+token after a context and its natural log, the last ``LOG_PROB_CACHE_SIZE``
+logs kept for word fusion; the full next-token distribution for a context,
+and two cached read-only forms of it: cumulative sums for the prefix-tree
 look-ahead, as many rows as fit in ``ROW_CACHE_BYTES``, and natural logs for
 character fusion, one row per observed context.  An unobserved context
 shares the row of its longest observed suffix.  Probabilities at context
@@ -33,6 +34,9 @@ _FIELDS = (("contexts", "<i4"), ("offsets", "<i8"), ("tokens", "<i4"), ("counts"
 
 MAX_ORDER = 5
 ROW_CACHE_BYTES = 4 * 2**20  # what a model's cached cumulative-sum rows may take
+# Log probabilities a model keeps: a word-fusion decode of a 5-word
+# utterance asks for about 200 distinct (token, context) pairs.
+LOG_PROB_CACHE_SIZE = 256
 _INT64_MAX = 2**63 - 1
 
 
@@ -87,6 +91,10 @@ class NGramModel:
         self._log_rows: dict[tuple[int, ...], np.ndarray] = {}
         row_cache = lru_cache(ROW_CACHE_BYTES // (8 * len(self.tokens) + 8))
         self.cumsums = row_cache(self._cumsums_uncached)
+        # ``log_prob(token, context)``: ``math.log(self.prob(token, context))``
+        # bit for bit (``np.log`` can differ in the last bit), keyed by the
+        # arguments as given, so *context* must be a tuple.
+        self.log_prob = lru_cache(LOG_PROB_CACHE_SIZE)(self._log_prob_uncached)
 
     @cached_property
     def token_ids(self) -> dict[str, int]:
@@ -118,6 +126,9 @@ class NGramModel:
             types = stop - start
             p = (count + types * p) / (table.totals[row] + types)
         return p
+
+    def _log_prob_uncached(self, token: int, context: tuple[int, ...]) -> float:
+        return math.log(self.prob(token, context))
 
     def full_distribution(self, context: Sequence[int]) -> np.ndarray:
         """Next-token distribution as a fresh vector indexed by token ID."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 
@@ -13,14 +15,25 @@ class PrefixTree:
     intervals of its children.  ``word_id[n]`` is the word spelled by the
     path to ``n`` or -1, and ``child[n, k]`` the child along ``labels[k]`` or
     -1, so the children of many nodes along many labels are one gather.
+
+    The words below ``n`` are its own word, then each child's run in label
+    order, so the children's intervals tile ``n``'s.  Node ``n``'s edge slice
+    ``edges[edge_offsets[n]:edge_offsets[n + 1]]`` is ``[lo[k1], ..., lo[km],
+    hi[n] + 1]`` over its children ``k1 < ... < km``, and ``edge_columns``
+    holds each child's label column at its ``lo`` and -1 at the closing bound.
+    Child ``ki``'s interval is then ``[edges[i], edges[i + 1] - 1]``, so on
+    leading-zero cumulative sums one gather of the slice gives every child's
+    mass.  ``edges`` is an array of indices for that gather; the offsets and
+    columns, read one at a time, are C-int ``array``s.
     """
 
     ROOT = 0
 
-    def __init__(self, labels, lo, hi, word_id, child):
+    def __init__(self, labels, lo, hi, word_id, child, edge_offsets, edges, edge_columns):
         self.labels = tuple(labels)
         self.columns = {label: k for k, label in enumerate(self.labels)}
         self.lo, self.hi, self.word_id, self.child = lo, hi, word_id, child
+        self.edge_offsets, self.edges, self.edge_columns = edge_offsets, edges, edge_columns
 
     @classmethod
     def build(cls, words: tuple[str, ...], letters: tuple[str, ...]) -> "PrefixTree":
@@ -52,7 +65,18 @@ class PrefixTree:
         lo, hi, word_id, parent, label = (np.concatenate(part) for part in zip(*parts))
         child = np.full((size, len(alphabet)), -1, dtype=np.int32)
         child[parent[1:], label[1:]] = np.arange(1, size)
-        return cls([chr(c) for c in alphabet], lo, hi, word_id, child)
+        # Nodes 1.. are numbered by (parent, label), so the edge slices laid
+        # end to end in node order hold every child's lo in node order, each
+        # node's closing bound after its last child.
+        offsets = np.append(0, np.cumsum(np.bincount(parent[1:], minlength=size) + 1))
+        kids = np.ones(offsets[-1], dtype=bool)
+        kids[offsets[1:] - 1] = False
+        edges = np.empty(offsets[-1], dtype=np.intp)
+        edges[kids], edges[~kids] = lo[1:], hi + 1
+        columns = np.full(offsets[-1], -1, dtype=np.intc)
+        columns[kids] = label[1:]
+        offsets, columns = (array("i", a.astype(np.intc).tobytes()) for a in (offsets, columns))
+        return cls([chr(c) for c in alphabet], lo, hi, word_id, child, offsets, edges, columns)
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -62,14 +86,14 @@ class PrefixTree:
         column = self.columns.get(label)
         if node is None or column is None:
             return None
-        child = int(self.child[node, column])
+        child = self.child.item(node, column)
         return child if child >= 0 else None
 
     def interval(self, node: int) -> tuple[int, int]:
         """Smallest and largest word ID anticipated at *node*."""
-        return int(self.lo[node]), int(self.hi[node])
+        return self.lo.item(node), self.hi.item(node)
 
     def word_end(self, node: int) -> int | None:
         """Word ID when the path to *node* spells a complete word, else None."""
-        word_id = int(self.word_id[node])
+        word_id = self.word_id.item(node)
         return word_id if word_id >= 0 else None

@@ -1,7 +1,9 @@
-"""Test oracles for CTC scoring: full path enumeration and greedy decoding.
+"""Test oracles for CTC scoring (full path enumeration and greedy
+decoding) and for look-ahead rows (the per-child mass formula).
 
-They share no code with ``beamfuse.ctc``'s prefix recursion, which is what
-makes them oracles for it.
+They share no code with ``beamfuse.ctc``'s prefix recursion or with the
+look-ahead scorer's edge-slice gather, which is what makes them oracles for
+them.
 """
 
 import itertools
@@ -110,3 +112,32 @@ def greedy_decode(posteriors: PosteriorMatrix) -> list[str]:
     path = np.argmax(posteriors.probs, axis=1)
     collapsed = _collapse([int(c) for c in path], posteriors.blank_index)
     return [posteriors.labels[col] for col in collapsed]
+
+
+def lookahead_row_reference(scorer, state) -> list[float]:
+    """An on-tree look-ahead state's scores for each tree letter column, then
+    ``<space>`` and ``<eos>``, by the per-child formula: a child costs
+    ``log(sums[hi + 1] - sums[lo])`` over its own interval minus the node's
+    log mass, a letter with no child costs the OOV charge, and each word-LM
+    term is ``math.log`` of ``prob``."""
+    tree, model, vocab = scorer.tree, scorer.word_model, scorer.vocab
+    node, sums, history = state.node, state.sums, state.word_history
+    row = []
+    for kid in tree.child[node].tolist():
+        if kid < 0:
+            row.append(state.unk_logp)
+        else:
+            mass = sums[tree.hi[kid] + 1] - sums[tree.lo[kid]]
+            row.append(math.log(mass) - state.node_log_mass)
+    if node == tree.ROOT:
+        close, after = math.nan, history
+    else:
+        word_id = int(tree.word_id[node])
+        if word_id < 0:
+            close, word_id = state.unk_logp, vocab.unk_id
+        else:
+            close = math.log(model.prob(word_id, history)) - state.node_log_mass
+        keep = model.order - 1
+        after = (history + (word_id,))[-keep:] if keep else ()
+    opened = 0.0 if math.isnan(close) else close
+    return row + [close, opened + math.log(model.prob(vocab.eos_id, after))]

@@ -498,6 +498,13 @@ def test_unknown_strategy_is_usage_error(workspace, capsys):
         ("decode", "--beam-width", "0"),
         ("decode", "--n-best", "0"),
         ("decode", "--ctc-weight", "1.5"),
+        ("decode", "--lm-weight", "nan"),
+        ("decode", "--lm-weight", "inf"),
+        ("bench", "--lm-weight", "nan"),
+        ("bench", "--lm-weight", "inf"),
+        ("decode", "--oov-beta", "inf"),
+        ("decode", "--oov-eta", "nan"),
+        ("decode", "--oov-eta", "0"),
     ],
 )
 def test_out_of_range_flag_values_exit_one(workspace, capsys, command, flag, value):
@@ -516,6 +523,35 @@ def test_out_of_range_flag_values_exit_one(workspace, capsys, command, flag, val
     assert "error: " in err
     assert "Traceback" not in err
     assert not (workspace / "flag.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "strategy, flag, value",
+    [
+        ("multilevel", "--oov-beta", "inf"),
+        ("multilevel", "--oov-beta", "nan"),
+        ("lookahead", "--oov-eta", "nan"),
+        ("lookahead", "--oov-eta", "0"),
+    ],
+)
+def test_bad_oov_scale_exits_one_before_any_model_loads(workspace, capsys, strategy, flag, value):
+    """The models named do not exist, so reading one would exit 2."""
+    data = workspace / "data"
+    code = main(
+        [
+            "decode",
+            "--posteriors", str(data / "utt_0000.tsv"),
+            "--lm-strategy", strategy,
+            "--char-lm", str(workspace / "missing-char.lm"),
+            "--word-lm", str(workspace / "missing-word.lm"),
+            "--vocab", str(data / "vocab.txt"),
+            flag, value,
+            "--out", str(workspace / "oov.txt"),
+        ]
+    )
+    assert code == 1
+    assert f"error: {flag} must be finite and > 0" in capsys.readouterr().err
+    assert not (workspace / "oov.txt").exists()
 
 
 @pytest.mark.parametrize(

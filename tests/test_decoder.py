@@ -65,8 +65,9 @@ def test_combine_scores_drops_zero_weight_components():
 def test_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(ctc_weight=1.5)
-    with pytest.raises(ValueError):
-        DecodeConfig(lm_weight=-0.1)
+    for weight in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lm_weight must be finite and >= 0"):
+            DecodeConfig(lm_weight=weight)
     with pytest.raises(ValueError):
         DecodeConfig(beam_width=0)
     with pytest.raises(ValueError):
@@ -639,7 +640,9 @@ def test_word_scorers_close_each_state_at_most_once(
         closed = []  # keeps every state alive, so no id is reused
         close = type(scorer)._close_word
         monkeypatch.setattr(
-            type(scorer), "_close_word", lambda self, s, f=close: closed.append(s) or f(self, s)
+            type(scorer),
+            "_close_word",
+            lambda self, s, *rest, f=close: closed.append(s) or f(self, s, *rest),
         )
         for _ in range(3):
             for lm, att in ((scorer, None), (None, scorer)):

@@ -25,14 +25,17 @@ from beamfuse import (
     CharLMScorer,
     EmptyWordError,
     LookAheadScorer,
+    MarkovText,
     MultiLevelScorer,
     NGramModel,
     PrefixTree,
     Vocabulary,
     lookahead_prob,
+    synth_vocabulary,
     train_ngram,
 )
 from beamfuse.fusion import LookAheadState
+from oracles import lookahead_row_reference
 from tree_walk import children, walk
 
 LOG7 = math.log(1 / 7)
@@ -317,6 +320,14 @@ def test_scoring_is_pure(ml, la):
         assert first == second
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_oov_scale_must_be_finite_and_positive(uniform_char_lm, uniform_word_lm, tiny_vocab, scale):
+    with pytest.raises(ValueError, match="oov_scale must be finite and > 0"):
+        MultiLevelScorer(uniform_char_lm, uniform_word_lm, tiny_vocab, oov_scale=scale)
+    with pytest.raises(ValueError, match="oov_scale must be finite and > 0"):
+        LookAheadScorer(uniform_word_lm, tiny_vocab, oov_scale=scale)
+
+
 def test_word_model_vocabulary_mismatch_rejected(uniform_char_lm, uniform_word_lm):
     other = Vocabulary.from_words(["dog"])
     with pytest.raises(ValueError, match="does not match"):
@@ -564,6 +575,38 @@ def test_lookahead_keeps_scores_once_per_node_on_the_unigram_row(trained_word_lm
     shared = {s.node for s in states if s.node is not None and s.sums is unigram}
     assert shared and set(scorer._unigram_rows) == shared
     assert any(s.sums is not unigram for s in states)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_lookahead_rows_are_bitwise_the_per_child_formula(order):
+    """On every node of a trained word model's tree, for an observed history
+    and for one that shares the unigram's row, each score_all row holds the
+    floats of the per-child oracle, and each node's log mass is the log of
+    the old ``sums[hi + 1] - sums[lo]``."""
+    words = synth_vocabulary(80, seed=12, alphabet="abcd")
+    corpus = MarkovText(words, seed=13).sentences(150, 2, 6, seed=14)
+    vocab = Vocabulary.from_words(words)
+    model = train_ngram(corpus, order, "word", vocab)
+    scorer = LookAheadScorer(model, vocab, oov_scale=0.5)
+    labels = [*scorer.tree.labels, SPACE, EOS]
+    observed = tuple(vocab.lookup(word) for word in corpus[0][: order - 1])
+    unseen = (vocab.unk_id,) * (order - 1)  # the corpus holds no <UNK>
+    unigram = model.cumulative_distribution(())
+    for history in (observed, unseen):
+        stack, seen = [scorer.initial_state(history)], set()
+        assert (stack[0].sums is unigram) == (history == unseen)
+        while stack:
+            state = stack.pop()
+            seen.add(state.node)
+            lo, hi = scorer.tree.lo[state.node], scorer.tree.hi[state.node]
+            assert state.node_log_mass.hex() == math.log(state.sums[hi + 1] - state.sums[lo]).hex()
+            for _ in range(2):  # built, then (on the unigram's row) kept
+                got = scorer.score_all([state], labels)[0].tolist()
+                want = lookahead_row_reference(scorer, state)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            kids = children(scorer.tree, state.node)
+            stack.extend(scorer.advance(state, label) for label in kids)
+        assert seen == set(range(len(scorer.tree)))
 
 
 def test_score_all_rejects_unknown_labels(

@@ -26,6 +26,7 @@ from beamfuse import (
     EOS,
     MarkovText,
     NGramModel,
+    Vocabulary,
     cumulative_sums,
     load_model,
     save_model,
@@ -33,7 +34,7 @@ from beamfuse import (
     to_char_labels,
     train_ngram,
 )
-from beamfuse.ngram import ROW_CACHE_BYTES
+from beamfuse.ngram import LOG_PROB_CACHE_SIZE, ROW_CACHE_BYTES
 
 CORPUS = [["a", "cat", "eats"]]
 
@@ -150,6 +151,30 @@ def test_cumsum_cache_is_bounded_by_bytes():
     for i in range(40):
         row = model.cumulative_distribution((i,))
     assert model.cumsums.cache_info().currsize * row.nbytes <= ROW_CACHE_BYTES
+
+
+def test_log_prob_is_math_log_of_prob_within_its_bound():
+    """log_prob holds exactly math.log(prob), never keeps more than
+    LOG_PROB_CACHE_SIZE entries, and gives the same float once its first
+    keys were evicted and it computes them again."""
+    words = synth_vocabulary(30, seed=8, alphabet="abcd")
+    vocab = Vocabulary.from_words(words)
+    model = train_ngram(MarkovText(words, seed=9).sentences(80, 2, 6, seed=10), 2, "word", vocab)
+    n = len(model.tokens)
+    keys = [(token, (context,)) for context in range(n) for token in range(n)] + [(0, ())]
+    assert len(keys) > LOG_PROB_CACHE_SIZE
+    first = {}
+    for key in keys:
+        first[key] = model.log_prob(*key)
+        assert first[key].hex() == math.log(model.prob(*key)).hex()
+        assert model.log_prob.cache_info().currsize <= LOG_PROB_CACHE_SIZE
+    assert model.log_prob.cache_info().currsize == LOG_PROB_CACHE_SIZE
+    misses = model.log_prob.cache_info().misses
+    for key in keys[:10]:  # evicted: computed again
+        assert model.log_prob(*key).hex() == first[key].hex()
+    assert model.log_prob.cache_info().misses == misses + 10
+    assert model.log_prob(*keys[0]).hex() == first[keys[0]].hex()  # now kept
+    assert model.log_prob.cache_info().misses == misses + 10
 
 
 def _reference_distribution(model, counts, context):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfuse import Vocabulary
 from tree_walk import children, dump_lines, walk
@@ -108,3 +110,38 @@ def test_dump_lines_format(tiny_vocab):
     assert "cat\t1\t1\t1" in lines
     assert "ca\t1\t1\t-" in lines
 
+
+
+@st.composite
+def _words_with_prefixes(draw):
+    """Random words over letters that include NUL (the build's padding) and
+    a non-ASCII one, each possibly joined by one of its own prefixes; a
+    prefix of length one is a one-letter word."""
+    words = draw(st.lists(st.text("ab\x00\u00e9", min_size=1, max_size=6), min_size=1, max_size=20))
+    cuts = draw(st.lists(st.integers(0, 6), min_size=len(words), max_size=len(words)))
+    return words + [word[:cut] for word, cut in zip(words, cuts) if cut]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_words_with_prefixes())
+def test_edge_slices_tile_every_node(words):
+    """Each node's edge slice is [lo(k1), ..., lo(km), hi(n) + 1] over its
+    children in label order, with their label columns and -1 at the close:
+    consecutive children touch, the last ends at the node's hi, and the
+    first starts right after the node's own word, if it spells one."""
+    tree = Vocabulary.from_words(words).tree
+    offsets = list(tree.edge_offsets)
+    assert offsets[0] == 0 and offsets[-1] == len(tree.edges) == len(tree.edge_columns)
+    assert len(offsets) == len(tree) + 1
+    for node in range(len(tree)):
+        kids = children(tree, node)
+        bounds = [tree.interval(kid) for kid in kids.values()]
+        lo, hi = tree.interval(node)
+        start, stop = offsets[node], offsets[node + 1]
+        assert tree.edges[start:stop].tolist() == [kid_lo for kid_lo, _ in bounds] + [hi + 1]
+        assert list(tree.edge_columns[start:stop]) == [tree.columns[k] for k in kids] + [-1]
+        for (_, left_hi), (right_lo, _) in zip(bounds, bounds[1:]):
+            assert left_hi + 1 == right_lo
+        if bounds:
+            assert bounds[0][0] == lo + (tree.word_end(node) is not None)
+            assert bounds[-1][1] == hi
