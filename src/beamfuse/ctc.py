@@ -99,7 +99,7 @@ class CtcBeam:
     ``transition`` is built once per beam and serves scoring and extension.
     """
 
-    forward: np.ndarray
+    forward: np.ndarray | None
     last_column: np.ndarray
     log_prefix: np.ndarray
     length: int
@@ -108,12 +108,13 @@ class CtcBeam:
     blank = property(lambda self: self.forward[1])
 
     def __len__(self) -> int:
-        return self.forward.shape[2]
+        return len(self.last_column)
 
-    def take(self, index: np.ndarray) -> CtcBeam:
-        """The hypotheses at *index*, in that order, with their transition."""
+    def take(self, index: np.ndarray, forward: bool = True) -> CtcBeam:
+        """The hypotheses at *index*, in that order, with their transition;
+        without *forward*, only what ``extended_states`` reads (no forward block)."""
         gathered = (self.last_column[index], self.log_prefix[index], self.length)
-        beam = CtcBeam(self.forward[:, :, index], *gathered)
+        beam = CtcBeam(self.forward[:, :, index] if forward else None, *gathered)
         vars(beam)["transition"] = self.transition[:, :, index]
         return beam
 
@@ -215,7 +216,8 @@ class CtcPrefixScorer:
         from ``candidate_scores``.
 
         Frames before the parents' length are ``-inf`` in both child vectors,
-        so each scan starts there.
+        so each scan starts there.  Only the parents' ``transition``,
+        ``last_column`` and ``length`` are read, never their ``forward``.
         """
         columns = np.asarray(columns, dtype=np.intp)
         prev_blank, prev_total = parents.transition
@@ -224,14 +226,15 @@ class CtcPrefixScorer:
         blank_sums = self._sums[:, self._blank_column, None]
         forward = np.empty((2,) + sums.shape)
         nonblank, blank = forward
-        last_nonblank = last_blank = NEG_INF
+        # The first segment starts from nothing: logaddexp(-inf, v) is v.
+        starts = phi[0], NEG_INF
         for a, e in self._segments:
             skip = min(max(parents.length - a, 0), e - a)
-            start = np.logaddexp(last_nonblank, phi[a])
-            _log_linear_scan(nonblank[a:e], start, sums[a:e], phi[a + 1 : e], skip)
-            start = np.logaddexp(last_blank, last_nonblank)
-            _log_linear_scan(blank[a:e], start, blank_sums[a:e], nonblank[a : e - 1], skip)
-            last_nonblank, last_blank = nonblank[e - 1], blank[e - 1]
+            if a:
+                previous = nonblank[a - 1]
+                starts = np.logaddexp(previous, phi[a]), np.logaddexp(blank[a - 1], previous)
+            _log_linear_scan(nonblank[a:e], starts[0], sums[a:e], phi[a + 1 : e], skip)
+            _log_linear_scan(blank[a:e], starts[1], blank_sums[a:e], nonblank[a : e - 1], skip)
         return CtcBeam(forward, columns, np.asarray(log_prefix, dtype=float), parents.length + 1)
 
 

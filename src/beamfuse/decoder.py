@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class DecodeConfig:
     n_best: int = 1
 
     def __post_init__(self):
+        for name in ("beam_width", "max_len", "n_best"):
+            value = getattr(self, name)  # an int: what operator.index takes, bool aside
+            if value is not None and (type(value) is bool or not hasattr(type(value), "__index__")):
+                raise ValueError(f"{name} must be an int")
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError("ctc_weight must lie in [0, 1]")
         if not 0.0 <= self.lm_weight < math.inf:
@@ -55,14 +60,16 @@ class DecodeConfig:
 
 
 def combine_scores(ctc_score, att_score, lm_score, config: DecodeConfig):
-    """Joint hypothesis score; zero-weight components are dropped outright.
-    Floats and broadcastable arrays get the same terms in the same order."""
+    """Joint hypothesis score; zero-weight and absent (None) components are
+    dropped outright.  Floats and broadcastable arrays get the same terms in
+    the same order.  The total starts at +0.0, so it is never -0.0, and a
+    dropped term gives the same float as an added ``w * 0.0``."""
     total = 0.0
     if config.ctc_weight != 0.0:
         total += config.ctc_weight * ctc_score
-    if config.ctc_weight != 1.0:
+    if config.ctc_weight != 1.0 and att_score is not None:
         total += (1.0 - config.ctc_weight) * att_score
-    if config.lm_weight != 0.0:
+    if config.lm_weight != 0.0 and lm_score is not None:
         total += config.lm_weight * lm_score
     return total
 
@@ -98,17 +105,19 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
 class _Beam:
     """The live hypotheses of one step: label sequences of equal length, in
     lexicographic order.  The CTC score of each is its ``ctc.log_prefix``;
-    ``scores`` and ``states`` hold the att slot's then the lm slot's."""
+    ``scores`` and ``states`` hold the att slot's then the lm slot's (None
+    for an absent one), and ``joint`` the joint scores."""
 
     labels: list[tuple[str, ...]]
     ctc: CtcBeam
-    scores: tuple[np.ndarray, np.ndarray]
-    states: tuple[list, list]
+    scores: tuple[np.ndarray | None, np.ndarray | None]
+    states: tuple[list | None, list | None]
+    joint: np.ndarray
 
 
 class _Search:
     """One decode's scorers, labels, weights and expansion step.  A missing
-    scorer is a missing term: it adds nothing to any score."""
+    scorer is a missing term: it has no scores, states or bounds."""
 
     def __init__(self, posteriors: PosteriorMatrix, lm, att, config: DecodeConfig):
         self.ctc = CtcPrefixScorer(posteriors)
@@ -122,45 +131,58 @@ class _Search:
         self.max_len = config.max_len if config.max_len is not None else posteriors.n_frames
 
     def initial(self) -> _Beam:
-        states = tuple([None if s is None else s.initial_state()] for s in self.scorers)
-        return _Beam([()], self.ctc.initial_state(), (np.zeros(1), np.zeros(1)), states)
+        scores = tuple(None if s is None else np.zeros(1) for s in self.scorers)
+        states = tuple(None if s is None else [s.initial_state()] for s in self.scorers)
+        return _Beam([()], self.ctc.initial_state(), scores, states, np.zeros(1))
+
+    def joint(self, ctc: np.ndarray, att, lm) -> np.ndarray:
+        joint = combine_scores(ctc, att, lm, self.config)  # 0.0 if every term is dropped
+        return joint if isinstance(joint, np.ndarray) else np.zeros(ctc.shape)
 
     def finish(self, beam: _Beam, labels: list[str], complete: list[Hypothesis]):
         """Score *beam*'s extensions by *labels* and by ``<eos>``, one
         ``score_all`` call per scorer, and return the att and lm totals of
         the *labels* columns.  The ``<eos>`` column, with exact-match CTC,
         finishes *beam* into *complete*, which keeps the best ``n_best``;
-        only a hypothesis that can enter it is built."""
+        only a hypothesis that can enter it is built; an absent slot scores
+        it 0.0."""
         labels = [*labels, EOS]
-        att, lm = map(self._totals, self.scorers, beam.scores, beam.states, (labels, labels))
+        totals = list(map(self._totals, self.scorers, beam.scores, beam.states, (labels, labels)))
+        eos = [None if x is None else x[:, -1] for x in totals]
         ctc = ctc_final(beam.ctc)
-        joint = combine_scores(ctc, att[:, -1], lm[:, -1], self.config)
+        joint = self.joint(ctc, *eos)
         n_best = self.config.n_best
         # No more than n_best of one level can enter, none below the worst kept.
         entering = np.argsort(-joint, kind="stable")[:n_best]
         if len(complete) == n_best:
             entering = entering[joint[entering] >= complete[-1].joint]
         for j in entering.tolist():
-            scores = (ctc[j].item(), att[j, -1].item(), lm[j, -1].item(), joint[j].item())
-            complete.append(Hypothesis(beam.labels[j], *scores))
+            slots = (0.0 if x is None else x[j].item() for x in eos)
+            complete.append(Hypothesis(beam.labels[j], ctc[j].item(), *slots, joint[j].item()))
         complete.sort(key=_rank)
         del complete[n_best:]
-        return att[:, :-1], lm[:, :-1]
+        return [None if x is None else x[:, :-1] for x in totals]
 
     def cannot_beat(self, beam: _Beam, worst: float) -> bool:
-        """Whether no completion of any hypothesis in *beam* can exceed *worst*."""
-        att, lm = (
-            scores if scorer is None else scores + [scorer.future_score_bound(s) for s in states]
-            for scorer, scores, states in zip(self.scorers, beam.scores, beam.states)
-        )
+        """Whether no completion of any hypothesis in *beam* can exceed *worst*.
+        With every bound ±0.0 that is ``beam.joint``: ±0.0 changes no total
+        and never flips ``<``."""
+        bounds = [
+            None if scorer is None else [scorer.future_score_bound(s) for s in states]
+            for scorer, states in zip(self.scorers, beam.states)
+        ]
+        if not any(map(any, filter(None, bounds))):
+            return bool((beam.joint < worst).all())
+        att, lm = (b if b is None else scores + b for scores, b in zip(beam.scores, bounds))
         # -inf CTC plus an infinite bound is NaN, which beats nothing.
         with np.errstate(invalid="ignore"):
-            bound = combine_scores(beam.ctc.log_prefix, att, lm, self.config)
+            bound = self.joint(beam.ctc.log_prefix, att, lm)
         return bool((bound < worst).all())
 
-    def expand(self, beam: _Beam, att: np.ndarray, lm: np.ndarray, width: int | None):
+    def expand(self, beam: _Beam, att, lm, width: int | None):
         """The best *width* (all when None) one-label extensions of *beam*,
-        given their (H, C) att and lm totals, or None if there are none.
+        given their (H, C) att and lm totals (None if absent), or None if
+        there are none.
 
         Only the survivors get new states.  Children are ranked by
         (-joint, labels): the parents are in lexicographic order and so are
@@ -170,30 +192,31 @@ class _Search:
         lexicographic order.
         """
         ctc = self.ctc.candidate_scores(beam.ctc, self.columns)
-        joint = combine_scores(ctc, att, lm, self.config)
+        joint = self.joint(ctc, att, lm).ravel()
+        slots = [x for x in (att, lm) if x is not None]
         # NaN marks a label a scorer cannot take: the end of an empty word.
-        parents, cols = np.nonzero(~np.isnan(att + lm))
-        keep = np.sort(np.argsort(-joint[parents, cols], kind="stable")[:width])
-        parents, cols = parents[keep], cols[keep]
-        if not parents.size:
+        index = np.flatnonzero(~np.isnan(reduce(np.add, slots))) if slots else np.arange(joint.size)
+        keep = index[np.sort(np.argsort(-joint[index], kind="stable")[:width])]
+        if not keep.size:
             return None
+        parents, cols = np.divmod(keep, len(self.columns))
         ctc_beam = self.ctc.extended_states(
-            beam.ctc.take(parents), columns=self.columns[cols], log_prefix=ctc[parents, cols]
+            beam.ctc.take(parents, forward=False),
+            columns=self.columns[cols],
+            log_prefix=ctc[parents, cols],
         )
         children = [(j, self.labels[i]) for j, i in zip(parents.tolist(), cols.tolist())]
         labels = [beam.labels[j] + (label,) for j, label in children]
+        scores = tuple(None if x is None else x[parents, cols] for x in (att, lm))
         states = tuple(
-            [None if scorer is None else scorer.advance(held[j], label) for j, label in children]
+            None if scorer is None else [scorer.advance(held[j], label) for j, label in children]
             for scorer, held in zip(self.scorers, beam.states)
         )
-        return _Beam(labels, ctc_beam, (att[parents, cols], lm[parents, cols]), states)
+        return _Beam(labels, ctc_beam, scores, states, joint[keep])
 
-    def _totals(self, scorer, scores: np.ndarray, states: list, labels: list[str]) -> np.ndarray:
-        """Accumulated scores plus this step's, as an (H, len(labels)) matrix."""
-        totals = scores[:, None]
-        if scorer is None:
-            return totals.repeat(len(labels), axis=1)
-        return totals + scorer.score_all(states, labels)
+    def _totals(self, scorer, scores, states, labels: list[str]) -> np.ndarray | None:
+        """Accumulated plus this step's scores, (H, len(labels)); None if absent."""
+        return None if scorer is None else scores[:, None] + scorer.score_all(states, labels)
 
     def run(self, width: int | None, stop_early: bool) -> DecodeResult:
         """Expand level by level, finishing every level; with *stop_early*,

@@ -6,16 +6,16 @@ whole beam step as an (H, C) array of natural-log scores, NaN where
 end-of-sentence term.  ``advance`` builds one survivor's child state;
 ``score`` and ``final`` are one-label and one-state views.  Scores may exceed
 zero because boundary corrections are ratios, not probabilities.  States are
-immutable.  Logs are taken with ``math.log`` one value at a time (``np.log``
-can differ in the last bit), so ``score_all`` holds exactly the floats
-``score`` returns, and repeated calls agree bit for bit.
+immutable named tuples, the cheapest record to build per survivor.  Logs
+are taken with ``math.log`` one value at a time (``np.log`` can differ in
+the last bit), so ``score_all`` holds exactly the floats ``score`` returns,
+and repeated calls agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class _FusionScorer:
 # ======================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class CharState:
+class CharState(NamedTuple):
     context: tuple[int, ...]
 
 
@@ -155,8 +154,7 @@ class _WordScorer(_FusionScorer):
 # ======================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class MultiLevelState:
+class MultiLevelState(NamedTuple):
     char_context: tuple[int, ...]
     word_history: tuple[int, ...]
     node: int | None  # the pending spelling's tree node; None once it leaves every word
@@ -231,13 +229,15 @@ class MultiLevelScorer(_WordScorer):
 # ======================================================================
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LookAheadState:
+class LookAheadState(NamedTuple):
     node: int | None  # trie position; None after leaving every spelling
     node_log_mass: float  # log anticipated-word mass at node (0.0 when node is None)
     word_history: tuple[int, ...]
     sums: np.ndarray  # cached cumulative word distribution for word_history
     unk_logp: float  # the OOV charge: scaled log P(<UNK> | word_history)
+
+    # An array has no value equality: compare and hash by identity.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class LookAheadScorer(_WordScorer):

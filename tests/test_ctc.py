@@ -165,6 +165,38 @@ def _layouts(beam):
         yield CtcBeam(forward, beam.last_column, beam.log_prefix, beam.length)
 
 
+def test_extension_reads_no_forward_vectors():
+    """``extended_states`` reads the parents' transition, last column and
+    length, never their forward vectors: parents whose forward block is all
+    NaN, or absent as in the decoder's gather, give a bitwise-identical
+    child beam.  The zero rows cut the frames into several scan segments."""
+    rng = np.random.default_rng(83)
+    labels = ("a", "b", "c", BLANK)
+    probs = rng.dirichlet(np.ones(len(labels)), size=14)
+    probs[[3, 8], 1] = 0.0
+    mat = PosteriorMatrix(labels, probs / probs.sum(axis=1, keepdims=True))
+    scorer = CtcPrefixScorer(mat)
+    columns = [scorer.column(label) for label in ("a", "b", "c")]
+    beam = extend_each(scorer, scorer.initial_state().take([0, 0, 0]), columns)
+    beam = extend_each(scorer, beam.take([0, 1, 2]), [columns[1], columns[1], columns[0]])
+    index, cols = np.array([2, 0, 0, 1]), np.array([columns[0], columns[1], columns[2], columns[1]])
+    scores = scorer.candidate_scores(beam, columns)[index, [0, 1, 2, 1]]
+    nan = np.full_like(beam.forward, np.nan)
+    nan = CtcBeam(nan, beam.last_column, beam.log_prefix, beam.length)
+    vars(nan)["transition"] = beam.transition
+
+    def fields(child):
+        return (child.forward.tobytes(), child.last_column.tobytes(),
+                child.log_prefix.tobytes(), child.length)
+
+    want = fields(scorer.extended_states(beam.take(index), columns=cols, log_prefix=scores))
+    assert not np.isnan(np.frombuffer(want[0])).any()
+    for parents in (nan.take(index), nan.take(index, forward=False), beam.take(index, False)):
+        assert len(parents) == len(index)
+        assert fields(scorer.extended_states(parents, columns=cols, log_prefix=scores)) == want
+    assert beam.take(index, forward=False).forward is None
+
+
 @pytest.mark.parametrize("frames", [9, 50])
 def test_candidate_score_does_not_depend_on_call_shape_or_layout(frames):
     """Each (hypothesis, label) entry is bitwise the same from a 1x1 call, a

@@ -74,6 +74,13 @@ def test_config_validation():
         DecodeConfig(max_len=-1)
     with pytest.raises(ValueError):
         DecodeConfig(n_best=0)
+    for limit in ("beam_width", "max_len", "n_best"):
+        for value in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{limit} must be an int"):
+                DecodeConfig(**{limit: value})
+    config = DecodeConfig(beam_width=np.int64(4), max_len=np.int32(3), n_best=2)
+    mat = synth_posteriors(["a", "cat"], LABELS, peak=0.7, seed=3)
+    assert len(decode(mat, config=config).hypotheses) == 2
 
 
 def test_peaked_posteriors_decode_to_transcript():
@@ -331,6 +338,121 @@ def test_missing_scorer_is_a_missing_term(trained_char_lm):
             if lm is None:
                 assert hyp.lm_score == 0.0
             assert hyp.joint == combine_scores(hyp.ctc_score, hyp.att_score, hyp.lm_score, config)
+
+
+# ----------------------------------------------------------------------
+# an absent slot and a zero bound cost no array work and change no bit
+# ----------------------------------------------------------------------
+
+
+class _Zero:
+    """A present slot that scores 0.0 everywhere and bounds what any
+    completion can still add by *bound*."""
+
+    def __init__(self, bound=0.0):
+        self.labels, self.bound = frozenset((*LABELS, EOS)), bound
+
+    def initial_state(self):
+        return None
+
+    def score_all(self, states, labels):
+        return np.zeros((len(states), len(labels)))
+
+    def advance(self, state, label):
+        return None
+
+    def future_score_bound(self, state):
+        return self.bound
+
+
+def _unbounded(scorer):
+    """*scorer* with early stopping disabled: an infinite bound."""
+    scorer.future_score_bound = lambda state: math.inf
+    return scorer
+
+
+# The settings criterion 9 decodes with: the CLI's weights, beam 6, 3-best;
+# then the weights that drop a term.
+CRITERION_9_CONFIGS = [
+    DecodeConfig(ctc_weight=0.2, lm_weight=1.0, beam_width=6, n_best=3),
+    DecodeConfig(ctc_weight=0.0, lm_weight=1.0, beam_width=6, n_best=3),
+    DecodeConfig(ctc_weight=1.0, lm_weight=0.0, beam_width=6, n_best=3),
+]
+
+
+def _levels(monkeypatch):
+    """The sizes of the levels each decode finishes, one per step."""
+    levels = []
+    monkeypatch.setattr(
+        decoder_module, "ctc_final", lambda beam: levels.append(len(beam)) or ctc_final(beam)
+    )
+    return levels
+
+
+def _utterances(vocab, count, seed):
+    """Criterion 9's synthetic utterances (peak 0.7, one frame per label),
+    alternating with two frames per label, after which the search usually
+    stops early rather than at ``max_len``."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        words = [str(w) for w in rng.choice(vocab.words, int(rng.integers(1, 4)))]
+        yield synth_posteriors(words, LABELS, 1 + trial % 2, peak=0.7, seed=trial)
+
+
+def test_a_zero_slot_decodes_as_an_absent_one(
+    monkeypatch, tiny_vocab, trained_char_lm, trained_word_lm
+):
+    """A slot scoring 0.0 everywhere with a 0.0 bound gives bit for bit the
+    n-best of leaving it out (None), in as many steps: an absent slot adds
+    no term, and a total that starts at +0.0 is unchanged by ``w * 0.0``."""
+    levels = _levels(monkeypatch)
+    others = [None, CharLMScorer(trained_char_lm), LookAheadScorer(trained_word_lm, tiny_vocab)]
+    checked = 0
+    for mat in _utterances(tiny_vocab, 8, seed=73):
+        for config in CRITERION_9_CONFIGS:
+            for other in others:
+                pairs = ((other, None), (other, _Zero())), ((None, other), (_Zero(), other))
+                for absent, zero in pairs:
+                    want = _bits(decode(mat, *absent, config))
+                    steps = len(levels)
+                    assert _bits(decode(mat, *zero, config)) == want
+                    assert len(levels) - steps == steps
+                    levels.clear()
+                    checked += 1
+    assert checked == 8 * len(CRITERION_9_CONFIGS) * len(others) * 2
+
+
+def test_zero_bounds_stop_exactly_where_the_joint_scores_say(
+    monkeypatch, tiny_vocab, uniform_char_lm, trained_char_lm, trained_word_lm
+):
+    """With every bound 0.0 (no slot, the character LM, look-ahead at an OOV
+    scale <= 1) the early stop reads the joint scores the step already
+    ranked.  It returns bit for bit the n-best of the same search with an
+    infinite bound, which never stops early, and it does stop early."""
+    levels = _levels(monkeypatch)
+
+    def systems():
+        yield (None, None), (_Zero(math.inf), None)
+        for make in (
+            lambda: CharLMScorer(trained_char_lm),
+            lambda: LookAheadScorer(trained_word_lm, tiny_vocab),
+            lambda: LookAheadScorer(trained_word_lm, tiny_vocab, oov_scale=0.5),
+        ):
+            yield (make(), None), (_unbounded(make()), None)
+            att = CharLMScorer(uniform_char_lm)
+            yield (make(), att), (make(), _unbounded(CharLMScorer(uniform_char_lm)))
+
+    trials = stopped = 0
+    for mat in _utterances(tiny_vocab, 6, seed=79):
+        for config in CRITERION_9_CONFIGS:
+            for bounded, unbounded in systems():
+                got = _bits(decode(mat, *bounded, config))
+                steps = len(levels)
+                assert got == _bits(decode(mat, *unbounded, config))
+                stopped += steps < len(levels) - steps
+                trials += 1
+                levels.clear()
+    assert stopped * 4 >= trials, (stopped, trials)
 
 
 # ----------------------------------------------------------------------

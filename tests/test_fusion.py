@@ -451,7 +451,7 @@ def _reference_lookahead(scorer, state, label):
 def _fields(state):
     if isinstance(state, LookAheadState):
         return (state.node, state.node_log_mass, state.word_history, state.unk_logp)
-    return tuple(getattr(state, name) for name in state.__slots__)
+    return tuple(getattr(state, name) for name in state._fields)
 
 
 def _reference_fields(scorer, fields):
